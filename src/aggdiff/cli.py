@@ -56,7 +56,7 @@ from .field import (
     pad_grid,
 )
 from .functionals import vhls_quotient
-from .params import ModelParams, derive_exponents, hls_sharp_constant, validate
+from .params import ModelParams, derive_exponents, hls_sharp_constant
 from .riesz import build_kernel, interaction
 from .testing import random_density
 
@@ -73,7 +73,7 @@ EXIT_CHECK_FAILED = 4
 class RunConfig:
     """Everything a command needs, with laboratory-scale defaults."""
 
-    params: ModelParams = dataclass_field(default_factory=lambda: ModelParams(3, 1.1, 1.2, 0.0))
+    params: ModelParams = dataclass_field(default_factory=lambda: ModelParams(3, 1.1, 1.2))
     grid_n: int = 512
     grid_r_max: float = 4.0
     extremal_opts: ExtremalOptions = dataclass_field(default_factory=ExtremalOptions)
@@ -101,7 +101,6 @@ class RunConfig:
             dt_min=self.sim_dt_min,
             blowup_factor=self.sim_blowup_factor,
             record_every=self.sim_record_every,
-            eps=self.params.eps,
         )
 
 
@@ -109,7 +108,6 @@ _KEYS = {
     "params.d": ("params", "d", int),
     "params.s": ("params", "s", float),
     "params.m": ("params", "m", float),
-    "params.eps": ("params", "eps", float),
     "grid.n": ("grid_n", None, int),
     "grid.r_max": ("grid_r_max", None, float),
     "extremal.tol_j": ("extremal_opts", "tol_j", float),
@@ -142,7 +140,7 @@ class ConfigError(ValueError):
 def load_config(path: str | Path) -> RunConfig:
     """Parse a flat key=value config file into a RunConfig."""
     cfg = RunConfig()
-    params_kw = {"d": 3, "s": 1.1, "m": 1.2, "eps": 0.0}
+    params_kw = {"d": 3, "s": 1.1, "m": 1.2}
     extremal_kw = {}
     try:
         text = Path(path).read_text()
@@ -214,7 +212,6 @@ def _profile_sidecar(profile, cfg: RunConfig) -> dict:
             "d": cfg.params.d,
             "s": cfg.params.s,
             "m": cfg.params.m,
-            "eps": cfg.params.eps,
         },
         "grid": {"n": profile.w.grid.n, "r_max": profile.w.grid.r_max},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -222,16 +219,10 @@ def _profile_sidecar(profile, cfg: RunConfig) -> dict:
 
 
 def cmd_validate(cfg: RunConfig, out: str | None) -> int:
-    try:
-        validate(cfg.params)
-    except RegimeError as exc:
-        print(f"regime error: {exc}", file=sys.stderr)
-        return EXIT_REGIME
     exps = derive_exponents(cfg.params)
     print(f"d      = {cfg.params.d}")
     print(f"s      = {cfg.params.s}")
     print(f"m      = {cfg.params.m}")
-    print(f"eps    = {cfg.params.eps}")
     for name in ("p", "a", "a0", "b0", "beta", "lam", "c_ds"):
         print(f"{name:6s} = {_fmt(getattr(exps, name))}")
     print(f"hls_sharp_constant(d, lam) = {_fmt(hls_sharp_constant(exps.d, exps.lam))}")
@@ -243,9 +234,6 @@ def cmd_extremal(cfg: RunConfig, out: str | None) -> int:
     try:
         exps, profile = _solve(cfg)
         status = EXIT_OK
-    except RegimeError as exc:
-        print(f"regime error: {exc}", file=sys.stderr)
-        return EXIT_REGIME
     except NoConvergence as exc:
         print(f"no convergence: {exc}", file=sys.stderr)
         profile = exc.profile
@@ -265,14 +253,7 @@ def cmd_extremal(cfg: RunConfig, out: str | None) -> int:
 
 def cmd_thresholds(cfg: RunConfig, out: str | None) -> int:
     out_path = _out_dir(cfg, out)
-    try:
-        exps, profile = _solve(cfg)
-    except RegimeError as exc:
-        print(f"regime error: {exc}", file=sys.stderr)
-        return EXIT_REGIME
-    except NoConvergence as exc:
-        print(f"no convergence: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    exps, profile = _solve(cfg)
     thr = compute_thresholds(profile, exps)
     payload = {
         "x_star": thr.x_star,
@@ -312,17 +293,10 @@ def _initial_condition(cfg: RunConfig, exps, profile_solver) -> RadialField:
 
 def cmd_classify(cfg: RunConfig, out: str | None) -> int:
     out_path = _out_dir(cfg, out)
-    try:
-        exps, profile = _solve(cfg)
-    except RegimeError as exc:
-        print(f"regime error: {exc}", file=sys.stderr)
-        return EXIT_REGIME
-    except NoConvergence as exc:
-        print(f"no convergence: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    exps, profile = _solve(cfg)
     thr = compute_thresholds(profile, exps)
     u0 = _initial_condition(cfg, exps, lambda: profile)
-    kernel = build_kernel(u0.grid, exps.lam, cfg.params.eps)
+    kernel = build_kernel(u0.grid, exps.lam)
     cls = classify(u0, thr, exps, kernel)
     (out_path / "classification.json").write_text(cls.to_json() + "\n")
     print(f"verdict = {cls.verdict.value}")
@@ -332,21 +306,14 @@ def cmd_classify(cfg: RunConfig, out: str | None) -> int:
 
 def cmd_evolve(cfg: RunConfig, out: str | None) -> int:
     out_path = _out_dir(cfg, out)
-    try:
-        exps = derive_exponents(cfg.params)
-        grid = RadialGrid(cfg.grid_n, cfg.grid_r_max)
-        u0 = _initial_condition(
-            cfg, exps,
-            lambda: solve_extremal(exps, grid, cfg.extremal_opts,
-                                   init=cfg.extremal_init),
-        )
-    except RegimeError as exc:
-        print(f"regime error: {exc}", file=sys.stderr)
-        return EXIT_REGIME
-    except NoConvergence as exc:
-        print(f"no convergence: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    kernel = build_kernel(u0.grid, exps.lam, cfg.params.eps)
+    exps = derive_exponents(cfg.params)
+    grid = RadialGrid(cfg.grid_n, cfg.grid_r_max)
+    u0 = _initial_condition(
+        cfg, exps,
+        lambda: solve_extremal(exps, grid, cfg.extremal_opts,
+                               init=cfg.extremal_init),
+    )
+    kernel = build_kernel(u0.grid, exps.lam)
     trace = run(u0, cfg.sim_config(), kernel, exps)
     trace_to_csv(trace, out_path / "trace.csv")
     meta = {"init": cfg.init_kind, "kappa": cfg.init_kappa,
@@ -361,18 +328,11 @@ def cmd_evolve(cfg: RunConfig, out: str | None) -> int:
 
 def cmd_dichotomy(cfg: RunConfig, out: str | None) -> int:
     out_path = _out_dir(cfg, out)
-    try:
-        exps, profile = _solve(cfg)
-    except RegimeError as exc:
-        print(f"regime error: {exc}", file=sys.stderr)
-        return EXIT_REGIME
-    except NoConvergence as exc:
-        print(f"no convergence: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    exps, profile = _solve(cfg)
     thr = compute_thresholds(profile, exps)
     wt = threshold_profile(profile, exps)
     wt = pad_grid(wt, 8.0 * support_radius(wt))
-    kernel = build_kernel(wt.grid, exps.lam, cfg.params.eps)
+    kernel = build_kernel(wt.grid, exps.lam)
 
     # Detecting blow-up requires the trigger mass to fit into the innermost
     # shell; on a too-coarse grid the focusing stalls below the trigger.
@@ -439,7 +399,7 @@ def _selftest_checks(cfg: RunConfig):
     exps = derive_exponents(cfg.params)
     n = cfg.selftest_n
     grid = RadialGrid(n, 8.0)
-    kernel = build_kernel(grid, exps.lam, 0.0)
+    kernel = build_kernel(grid, exps.lam)
     if cfg.selftest_corrupt_kernel:
         import dataclasses
 
@@ -519,13 +479,8 @@ def _selftest_checks(cfg: RunConfig):
 
 
 def cmd_selftest(cfg: RunConfig, out: str | None) -> int:
-    try:
-        checks = _selftest_checks(cfg)
-    except RegimeError as exc:
-        print(f"regime error: {exc}", file=sys.stderr)
-        return EXIT_REGIME
     failed = []
-    for name, check in checks.items():
+    for name, check in _selftest_checks(cfg).items():
         ok = bool(check())
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
         if not ok:
@@ -576,7 +531,14 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return _COMMANDS[command](cfg, out_override)
+    try:
+        return _COMMANDS[command](cfg, out_override)
+    except RegimeError as exc:
+        print(f"regime error: {exc}", file=sys.stderr)
+        return EXIT_REGIME
+    except NoConvergence as exc:
+        print(f"no convergence: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

@@ -1,21 +1,19 @@
 """Explicit finite-volume time integration of the radial aggregation-
 diffusion flow
 
-    u_t = div( u grad mu ) + eps * Laplace u,
+    u_t = div( u grad mu ),
     mu  = m/(m-1) u^(m-1) - c,
 
 with c the attraction potential of u.  The porous-medium diffusion is
 carried inside mu, so the whole update is a single conservative upwind
 flux: at each interior face the velocity is -d_r mu (centered difference of
-cell values) and the transported density is the upwind cell value.  The
-optional eps-viscosity is an additional centered diffusive flux with the
-same conservative stencil.  No-flux conditions hold at r = 0 (zero face
-area) and at r = r_max.
+cell values) and the transported density is the upwind cell value.
+No-flux conditions hold at r = 0 (zero face area) and at r = r_max.
 
 Mass is conserved to roundoff by telescoping; positivity is preserved under
 the time-step restriction
 
-    dt = cfl * min( dr^2 / (2d (m ||u||_inf^(m-1) + eps)),
+    dt = cfl * min( dr^2 / (2d m ||u||_inf^(m-1)),
                     dr / (3 max |v_face|) ),
 
 where the factor 3 accounts for the worst area/volume ratio of the
@@ -34,9 +32,9 @@ import numpy as np
 
 from .errors import NonFiniteValue, UnsupportedDimension
 from .field import RadialField, lp_norm, mass, second_moment
-from .functionals import dissipation, free_energy
+from .functionals import chemical_potential, dissipation, free_energy
 from .params import Exponents
-from .riesz import ReducedKernel, potential_symmetric
+from .riesz import ReducedKernel
 
 __all__ = [
     "SimConfig",
@@ -54,15 +52,13 @@ __all__ = [
 @dataclass(frozen=True)
 class SimConfig:
     """Run controls: horizon, Courant factor, abort threshold for the time
-    step, sup-norm growth trigger, diagnostic cadence (in steps), and the
-    viscous regularization strength."""
+    step, sup-norm growth trigger, and diagnostic cadence (in steps)."""
 
     t_end: float
     cfl: float = 0.45
     dt_min: float = 1e-12
     blowup_factor: float = 1e3
     record_every: int = 100
-    eps: float = 0.0
 
     def __post_init__(self):
         if not self.t_end > 0:
@@ -102,33 +98,25 @@ class SimTrace:
     final: RadialField | None = dataclass_field(default=None, repr=False)
 
 
-def _chemical_potential_values(
-    v: np.ndarray, c: np.ndarray, m: float
-) -> np.ndarray:
-    ent = np.where(v > 0.0, v, 0.0) ** (m - 1.0) * (m / (m - 1.0))
-    return ent - c
-
-
-def _face_fluxes(
-    v: np.ndarray, grid, mu: np.ndarray, eps: float
+def _flux_divergence(
+    u: RadialField, exps: Exponents, kernel: ReducedKernel
 ) -> tuple[np.ndarray, float]:
-    """Outward fluxes at all n+1 faces (zero at both boundaries) and the
-    maximum face speed, for the upwind gradient-flow discretization."""
-    dr = grid.dr
-    vel = -(mu[1:] - mu[:-1]) / dr
+    """Cellwise divergence of the upwind gradient-flow flux, and the maximum
+    face speed.  The flux vanishes at both boundary faces; at each interior
+    face it is the face area times the upwind cell value times -d_r mu."""
+    grid = u.grid
+    v = u.values
+    mu = chemical_potential(u, exps, kernel).values
+    vel = -(mu[1:] - mu[:-1]) / grid.dr
     up = np.where(vel > 0.0, v[:-1], v[1:])
-    area = grid.face_areas[1:-1]
     flux = np.zeros(grid.n + 1)
-    flux[1:-1] = area * up * vel
-    if eps > 0.0:
-        flux[1:-1] -= eps * area * (v[1:] - v[:-1]) / dr
-    vmax = float(np.max(np.abs(vel))) if len(vel) else 0.0
-    return flux, vmax
+    flux[1:-1] = grid.face_areas[1:-1] * up * vel
+    return (flux[:-1] - flux[1:]) / grid.volumes, float(np.max(np.abs(vel)))
 
 
 def _stable_dt(grid, umax: float, vmax: float, exps: Exponents, cfg: SimConfig) -> float:
     dr = grid.dr
-    diff = exps.m * umax ** (exps.m - 1.0) + cfg.eps if umax > 0.0 else cfg.eps
+    diff = exps.m * umax ** (exps.m - 1.0) if umax > 0.0 else 0.0
     dt_par = dr**2 / (2.0 * exps.d * diff) if diff > 0.0 else np.inf
     dt_adv = dr / (3.0 * vmax) if vmax > 0.0 else np.inf
     return cfg.cfl * min(dt_par, dt_adv)
@@ -146,12 +134,9 @@ def step(
     if exps.d != 3:
         raise UnsupportedDimension("the spherical-shell scheme requires d = 3")
     v = u.values
-    c = exps.c_ds * potential_symmetric(u, kernel).values
-    mu = _chemical_potential_values(v, c, exps.m)
-    flux, vmax = _face_fluxes(v, u.grid, mu, cfg.eps)
+    div, vmax = _flux_divergence(u, exps, kernel)
     if dt is None:
         dt = _stable_dt(u.grid, float(np.max(v)), vmax, exps, cfg)
-    div = (flux[:-1] - flux[1:]) / u.grid.volumes
     v_new = v + dt * div
     if not np.all(np.isfinite(v_new)):
         raise NonFiniteValue("non-finite value produced by time step")
@@ -162,15 +147,14 @@ def step(
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Finiteness checks on initial data: mass, sup norm, second moment, and
-    the L^2 norm of d_r(u^m), plus a flag if the support already touches the
-    outer 5% of the domain."""
+    """Measures of initial data that hypothesis_check found finite: mass,
+    sup norm, second moment, and the L^2 norm of d_r(u^m), plus a flag if
+    the support already touches the outer 5% of the domain."""
 
     mass: float
     linf: float
     second_moment: float
     grad_um_l2: float
-    all_finite: bool
     support_clear_of_boundary: bool
 
 
@@ -194,7 +178,6 @@ def hypothesis_check(u0: RadialField, exps: Exponents) -> HypothesisReport:
         linf=linf,
         second_moment=m2,
         grad_um_l2=grad_l2,
-        all_finite=True,
         support_clear_of_boundary=clear,
     )
 
@@ -307,9 +290,9 @@ def virial_check(
     """Instantaneous second-moment balance.
 
     rhs is the exact identity (2d - 2(d-2s)/(m-1)) int u^m + 2(d-2s) F(u);
-    lhs applies the discrete spatial operator of `step` (eps = 0) to u and
-    sums r^2 times the flux divergence.  The two agree up to discretization
-    error, and both vanish at the threshold steady profile.
+    lhs sums r^2 times the flux divergence that `step` applies to u.  The
+    two agree up to discretization error, and both vanish at the threshold
+    steady profile.
     """
     d, s, m = exps.d, exps.s, exps.m
     if d != 3:
@@ -318,11 +301,7 @@ def virial_check(
     rhs = (2.0 * d - 2.0 * (d - 2.0 * s) / (m - 1.0)) * um_int \
         + 2.0 * (d - 2.0 * s) * free_energy(u, exps, kernel)
 
-    v = u.values
-    c = exps.c_ds * potential_symmetric(u, kernel).values
-    mu = _chemical_potential_values(v, c, m)
-    flux, _ = _face_fluxes(v, u.grid, mu, 0.0)
-    div = (flux[:-1] - flux[1:]) / u.grid.volumes
+    div, _ = _flux_divergence(u, exps, kernel)
     lhs = float(div @ u.grid.moment_weights)
     return lhs, float(rhs)
 

@@ -138,7 +138,7 @@ def solve_extremal(
         raise UnsupportedDimension("the radial maximizer solver requires d = 3")
     opts = opts or ExtremalOptions()
 
-    kernel = build_kernel(grid, exps.lam, 0.0)
+    kernel = build_kernel(grid, exps.lam)
     if isinstance(init, RadialField):
         w = init
     else:

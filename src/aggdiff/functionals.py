@@ -97,7 +97,7 @@ def chemical_potential(
     """
     m = exps.m
     c = potential_symmetric(u, kernel)
-    ent = np.where(u.values > 0.0, u.values ** (m - 1.0), 0.0) * (m / (m - 1.0))
+    ent = np.where(u.values > 0.0, u.values, 0.0) ** (m - 1.0) * (m / (m - 1.0))
     return RadialField(u.grid, ent - exps.c_ds * c.values)
 
 

@@ -29,13 +29,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical parameters: dimension d, Riesz order s, diffusion exponent m,
-    and viscous regularization strength eps >= 0 (eps = 0 in production)."""
+    """Physical parameters: dimension d, Riesz order s and diffusion
+    exponent m of u_t = div(u grad mu), mu = m/(m-1) u^(m-1) - c, where c is
+    the Riesz potential of order s of u."""
 
     d: int
     s: float
     m: float
-    eps: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,6 @@ class Exponents:
     d: int
     s: float
     m: float
-    eps: float
     p: float
     a: float
     a0: float
@@ -89,8 +88,6 @@ def validate(params: ModelParams) -> None:
         raise RegimeError(f"2d/(d+2s) < m fails: 2d/(d+2s) = {lo}, m = {m}")
     if not m < hi:
         raise RegimeError(f"m < 2-2s/d fails: 2-2s/d = {hi}, m = {m}")
-    if not params.eps >= 0.0:
-        raise RegimeError(f"eps >= 0 fails: eps = {params.eps}")
 
 
 def derive_exponents(params: ModelParams) -> Exponents:
@@ -104,7 +101,7 @@ def derive_exponents(params: ModelParams) -> Exponents:
     beta = (d - 2.0 * s) / (d * (m - 1.0))
     lam = d - 2.0 * s
     return Exponents(
-        d=d, s=s, m=m, eps=params.eps,
+        d=d, s=s, m=m,
         p=p, a=a, a0=a0, b0=b0, beta=beta, lam=lam,
         c_ds=riesz_constant(d, s),
     )

@@ -11,10 +11,6 @@ each target radius is integrated exactly for a piecewise-constant density;
 the mild kink of |r - r'|^(2-lam) at r = r' therefore costs no accuracy.
 The per-pair weights are assembled once per grid into dense tables, making
 potential evaluation a matrix-vector product.
-
-The regularized variant replaces (r +/- r')^2 by (r +/- r')^2 + eps^2; the
-integrand is then smooth and fixed-order Gauss quadrature per source cell is
-used instead of antiderivatives.
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ __all__ = [
 ]
 
 _CHUNK = 256
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 @dataclass(frozen=True)
@@ -58,7 +53,6 @@ class ReducedKernel:
 
     grid: RadialGrid
     lam: float
-    eps: float
     pot: np.ndarray = dataclass_field(repr=False)
     frc: np.ndarray = dataclass_field(repr=False)
 
@@ -79,11 +73,9 @@ class ReducedKernel:
         return 0.5 * (self.pot @ values + (self.pot.T @ uv) / volumes)
 
 
-def _pot_rows_exact(r: np.ndarray, a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
-    """Exact integral over source cells [a, b] of the reduced kernel, for
-    strictly positive target radii r.  Returns shape (len(r), len(a))."""
-    t = 2.0 - lam
-    r = r[:, None]
+def _shell_integral(r: np.ndarray, a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
+    """Integral over source cells [a, b] of x [(r + x)^t - |x - r|^t] for a
+    column of target radii r, by its closed-form antiderivatives P and M."""
 
     def P(x):
         return (r + x) ** (t + 2.0) / (t + 2.0) - r * (r + x) ** (t + 1.0) / (t + 1.0)
@@ -93,8 +85,15 @@ def _pot_rows_exact(r: np.ndarray, a: np.ndarray, b: np.ndarray, lam: float) -> 
         aw = np.abs(w)
         return r * np.sign(w) * aw ** (t + 1.0) / (t + 1.0) + aw ** (t + 2.0) / (t + 2.0)
 
-    I = (P(b[None, :]) - M(b[None, :])) - (P(a[None, :]) - M(a[None, :]))
-    return (2.0 * np.pi / t) * I / r
+    return (P(b[None, :]) - M(b[None, :])) - (P(a[None, :]) - M(a[None, :]))
+
+
+def _pot_rows_exact(r: np.ndarray, a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
+    """Exact integral over source cells [a, b] of the reduced kernel, for
+    strictly positive target radii r.  Returns shape (len(r), len(a))."""
+    t = 2.0 - lam
+    r = r[:, None]
+    return (2.0 * np.pi / t) * _shell_integral(r, a, b, t) / r
 
 
 def _pot_row_origin(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
@@ -108,14 +107,6 @@ def _frc_rows_exact(r: np.ndarray, a: np.ndarray, b: np.ndarray, lam: float) -> 
     t = 2.0 - lam
     r = r[:, None]
 
-    def P(x):
-        return (r + x) ** (t + 2.0) / (t + 2.0) - r * (r + x) ** (t + 1.0) / (t + 1.0)
-
-    def M(x):
-        w = x - r
-        aw = np.abs(w)
-        return r * np.sign(w) * aw ** (t + 1.0) / (t + 1.0) + aw ** (t + 2.0) / (t + 2.0)
-
     def P2(x):
         return (r + x) ** (t + 1.0) / (t + 1.0) - r * (r + x) ** t / t
 
@@ -124,56 +115,21 @@ def _frc_rows_exact(r: np.ndarray, a: np.ndarray, b: np.ndarray, lam: float) -> 
         aw = np.abs(w)
         return -r * aw**t / t - np.sign(w) * aw ** (t + 1.0) / (t + 1.0)
 
-    I = (P(b[None, :]) - M(b[None, :])) - (P(a[None, :]) - M(a[None, :]))
+    I = _shell_integral(r, a, b, t)
     D = t * ((P2(b[None, :]) - G(b[None, :])) - (P2(a[None, :]) - G(a[None, :])))
     return (2.0 * np.pi / t) * (-I / r**2 + D / r)
 
 
-def _pot_rows_eps(r: np.ndarray, a: np.ndarray, b: np.ndarray, lam: float, eps: float) -> np.ndarray:
-    """Gauss-quadrature rows of the eps-regularized reduced kernel, r > 0."""
-    t = 2.0 - lam
-    r = r[:, None]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    acc = np.zeros((len(r), len(a)))
-    for x, w in zip(_GL_NODES, _GL_WEIGHTS):
-        rp = (mid + half * x)[None, :]
-        plus = ((r + rp) ** 2 + eps**2) ** (t / 2.0)
-        minus = ((r - rp) ** 2 + eps**2) ** (t / 2.0)
-        acc += w * half[None, :] * rp * (plus - minus)
-    return (2.0 * np.pi / t) * acc / r
-
-
-def _frc_rows_eps(r: np.ndarray, a: np.ndarray, b: np.ndarray, lam: float, eps: float) -> np.ndarray:
-    t = 2.0 - lam
-    r = r[:, None]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    i0 = np.zeros((len(r), len(a)))
-    i1 = np.zeros((len(r), len(a)))
-    for x, w in zip(_GL_NODES, _GL_WEIGHTS):
-        rp = (mid + half * x)[None, :]
-        qp = (r + rp) ** 2 + eps**2
-        qm = (r - rp) ** 2 + eps**2
-        i0 += w * half[None, :] * rp * (qp ** (t / 2.0) - qm ** (t / 2.0))
-        i1 += w * half[None, :] * rp * t * (
-            (r + rp) * qp ** (t / 2.0 - 1.0) - (r - rp) * qm ** (t / 2.0 - 1.0)
-        )
-    return (2.0 * np.pi / t) * (-i0 / r**2 + i1 / r)
-
-
-def build_kernel(grid: RadialGrid, lam: float, eps: float = 0.0, *, d: int = 3) -> ReducedKernel:
+def build_kernel(grid: RadialGrid, lam: float, *, d: int = 3) -> ReducedKernel:
     """Assemble the dense potential and force weight tables for one grid.
 
     Only d = 3 is supported (the angular reduction above is specific to it);
-    the kernel power must satisfy 0 < lam < 1 and eps >= 0.
+    the kernel power must satisfy 0 < lam < 1.
     """
     if d != 3:
         raise UnsupportedDimension(f"radial kernel reduction requires d = 3, got d = {d}")
     if not (0.0 < lam < 1.0):
         raise ValueError(f"kernel power must satisfy 0 < lam < 1, got {lam}")
-    if eps < 0.0:
-        raise ValueError("eps must be nonnegative")
 
     e = grid.edges
     a, b = e[:-1], e[1:]
@@ -183,38 +139,27 @@ def build_kernel(grid: RadialGrid, lam: float, eps: float = 0.0, *, d: int = 3) 
     pot = np.empty((n, n))
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        if eps == 0.0:
-            pot[lo:hi] = _pot_rows_exact(centers[lo:hi], a, b, lam)
-        else:
-            pot[lo:hi] = _pot_rows_eps(centers[lo:hi], a, b, lam, eps)
+        pot[lo:hi] = _pot_rows_exact(centers[lo:hi], a, b, lam)
 
     faces = e
     frc = np.empty((n + 1, n))
     frc[0] = 0.0
     for lo in range(1, n + 1, _CHUNK):
         hi = min(lo + _CHUNK, n + 1)
-        if eps == 0.0:
-            frc[lo:hi] = _frc_rows_exact(faces[lo:hi], a, b, lam)
-        else:
-            frc[lo:hi] = _frc_rows_eps(faces[lo:hi], a, b, lam, eps)
+        frc[lo:hi] = _frc_rows_exact(faces[lo:hi], a, b, lam)
 
-    return ReducedKernel(grid=grid, lam=lam, eps=eps, pot=pot, frc=frc)
+    return ReducedKernel(grid=grid, lam=lam, pot=pot, frc=frc)
 
 
 def _scale_factor(kernel: ReducedKernel, grid: RadialGrid, power_offset: float) -> float:
     """Length-rescaling factor between the kernel's build grid and a target
     grid with the same cell count.  The pure power kernel is homogeneous, so
     its weight tables on a grid scaled by c are the original ones times
-    c^(3 - lam) (potential) or c^(2 - lam) (force)."""
+    c^(3 - lam) (potential) or c^(2 - lam) (force); on the build grid itself
+    c = 1 exactly and so is the factor."""
     if grid.n != kernel.grid.n:
         raise GridMismatch(
             f"kernel built for n = {kernel.grid.n}, field has n = {grid.n}"
-        )
-    if kernel.grid.compatible(grid):
-        return 1.0
-    if kernel.eps != 0.0:
-        raise GridMismatch(
-            "eps-regularized kernel is tied to its build grid (eps is a length)"
         )
     c = grid.r_max / kernel.grid.r_max
     return c ** (3.0 - kernel.lam - power_offset)
@@ -250,9 +195,7 @@ def interaction(u: RadialField, kernel: ReducedKernel) -> float:
     return float(fac * ((u.values * u.grid.volumes) @ phi))
 
 
-def potential_at(
-    u: RadialField, r_targets: np.ndarray, lam: float, eps: float = 0.0
-) -> np.ndarray:
+def potential_at(u: RadialField, r_targets: np.ndarray, lam: float) -> np.ndarray:
     """Plain potential of u (no prefactor) at arbitrary target radii.
 
     Rows are integrated on the fly with the same exact antiderivatives as
@@ -265,15 +208,7 @@ def potential_at(
     out = np.empty(len(r_targets))
     tiny = r_targets < 1e-10 * u.grid.r_max
     if np.any(tiny):
-        row0 = _pot_row_origin(a, b, lam) if eps == 0.0 else _pot_rows_eps(
-            np.array([1e-9 * u.grid.r_max]), a, b, lam, eps
-        )[0]
-        out[tiny] = row0 @ u.values
+        out[tiny] = _pot_row_origin(a, b, lam) @ u.values
     if np.any(~tiny):
-        rows = (
-            _pot_rows_exact(r_targets[~tiny], a, b, lam)
-            if eps == 0.0
-            else _pot_rows_eps(r_targets[~tiny], a, b, lam, eps)
-        )
-        out[~tiny] = rows @ u.values
+        out[~tiny] = _pot_rows_exact(r_targets[~tiny], a, b, lam) @ u.values
     return out

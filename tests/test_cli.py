@@ -38,9 +38,10 @@ class TestConfig:
         assert cfg.grid_n == 384
         assert cfg.kappas == (0.8, 1.2)
 
-    def test_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key", ["params.zz", "params.eps"])
+    def test_unknown_key_rejected(self, tmp_path, key):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("params.zz = 1\n")
+        cfg.write_text(f"{key} = 1\n")
         assert main(["validate", "--config", str(cfg)]) == EXIT_CONFIG
 
     def test_malformed_line_rejected(self, tmp_path):

@@ -169,16 +169,6 @@ class TestRun:
         assert tr.t_detect is None
         assert tr.t[-1] < 1e-6
 
-    def test_eps_viscosity_smoke(self, exps, grid):
-        # regularized variant: eps > 0 in both the kernel and the viscous flux
-        prm = ag.ModelParams(3, 1.1, 1.2, eps=1e-3)
-        e = ag.derive_exponents(prm)
-        k = build_kernel(grid, e.lam, eps=e.eps)
-        u0 = field_from_function(grid, lambda r: 0.5 * np.exp(-(r**2)))
-        tr = run(u0, SimConfig(t_end=0.05, record_every=50, eps=e.eps), k, e)
-        assert tr.outcome is Outcome.COMPLETED_BOUNDED
-        assert abs(tr.mass[-1] - tr.mass[0]) <= 1e-10 * tr.mass[0]
-
     def test_moment_lower_bound_for_supnorm(self, exps, grid, kernel):
         # ||u||_inf >= ||u||_1^{(d+2)/2} / (c m2^{d/2}), calibrated once at
         # t = 0 and then checked along the run
@@ -281,6 +271,16 @@ class TestVirial:
         lhs, rhs = virial_check(u, exps, k)
         assert abs(lhs - rhs) <= 0.02 * abs(rhs)
 
+    def test_lhs_is_moment_rate_of_step(self, exps, grid, kernel):
+        # the balance and the integrator apply the same flux operator: the
+        # lhs is the rate of change of the second moment over a short step
+        u = field_from_function(grid, lambda r: 0.8 * np.exp(-(r**2)))
+        lhs, _ = virial_check(u, exps, kernel)
+        h = 1e-6
+        u_h, _ = step(u, kernel, exps, SimConfig(t_end=1.0), dt=h)
+        rate = (second_moment(u_h) - second_moment(u)) / h
+        assert abs(rate - lhs) <= 1e-6 * abs(lhs)
+
     def test_vanishes_at_threshold_profile(self, exps, wt_padded):
         wt, kernel = wt_padded
         lhs, rhs = virial_check(wt, exps, kernel)
@@ -294,7 +294,6 @@ class TestHypothesisCheck:
     def test_smooth_bump_passes(self, exps, grid):
         u = field_from_function(grid, lambda r: np.maximum(1 - r**2, 0.0))
         rep = hypothesis_check(u, exps)
-        assert rep.all_finite
         assert rep.support_clear_of_boundary
         assert rep.mass > 0 and np.isfinite(rep.grad_um_l2)
 

@@ -66,10 +66,6 @@ class TestValidate:
         with pytest.raises(RegimeError, match="2s < d"):
             validate(ModelParams(3, 1.6, 1.2))
 
-    def test_negative_eps_rejected(self):
-        with pytest.raises(RegimeError, match="eps"):
-            validate(ModelParams(3, 1.1, 1.2, eps=-1.0))
-
 
 class TestExponents:
     def test_reference_values(self, exps):
