@@ -17,9 +17,12 @@ the time-step restriction
                     dr / (3 max |v_face|) ),
 
 where the factor 3 accounts for the worst area/volume ratio of the
-innermost shell.  Blow-up is detected, not resolved: once the sup norm
-crosses blowup_factor * max(1, ||u0||_inf) the run stops and reports the
-detection time.
+innermost shell, and max |v_face| is taken over the faces next to mass
+(every other face carries no flux).  A step computes only the cells up to
+one past the support; the rest stay exactly as they are, and a step of the
+zero field changes nothing.  Blow-up is detected, not resolved: once the
+sup norm crosses blowup_factor * max(1, ||u0||_inf) the run stops and
+reports the detection time.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ import numpy as np
 
 from .errors import NonFiniteValue, UnsupportedDimension
 from .field import RadialField, lp_norm, mass, second_moment
-from .functionals import chemical_potential, dissipation, free_energy
+from .functionals import _chemical_potential_values, dissipation, free_energy
 from .params import Exponents
-from .riesz import ReducedKernel
+from .riesz import ReducedKernel, _support_extent
 
 __all__ = [
     "SimConfig",
@@ -99,19 +102,26 @@ class SimTrace:
 
 
 def _flux_divergence(
-    u: RadialField, exps: Exponents, kernel: ReducedKernel
+    u: RadialField, exps: Exponents, kernel: ReducedKernel, extent: int | None = None
 ) -> tuple[np.ndarray, float]:
     """Cellwise divergence of the upwind gradient-flow flux, and the maximum
     face speed.  The flux vanishes at both boundary faces; at each interior
-    face it is the face area times the upwind cell value times -d_r mu."""
+    face it is the face area times the upwind cell value times -d_r mu.
+
+    With the support extent e of u, only cells [0, w), w = min(e + 1, n),
+    are computed and the returned divergence has length w: every face from
+    w on has empty cells on both sides, so its flux and the divergence
+    beyond w are exactly zero, and the speed is the maximum over the faces
+    next to mass."""
     grid = u.grid
-    v = u.values
-    mu = chemical_potential(u, exps, kernel).values
+    w = grid.n if extent is None else min(extent + 1, grid.n)
+    v = u.values[:w]
+    mu = _chemical_potential_values(u, exps, kernel, rows=w, extent=extent)
     vel = -(mu[1:] - mu[:-1]) / grid.dr
     up = np.where(vel > 0.0, v[:-1], v[1:])
-    flux = np.zeros(grid.n + 1)
-    flux[1:-1] = grid.face_areas[1:-1] * up * vel
-    return (flux[:-1] - flux[1:]) / grid.volumes, float(np.max(np.abs(vel)))
+    flux = np.zeros(w + 1)
+    flux[1:-1] = grid.face_areas[1:w] * up * vel
+    return (flux[:-1] - flux[1:]) / grid.volumes[:w], float(np.max(np.abs(vel)))
 
 
 def _stable_dt(grid, umax: float, vmax: float, exps: Exponents, cfg: SimConfig) -> float:
@@ -134,14 +144,20 @@ def step(
     if exps.d != 3:
         raise UnsupportedDimension("the spherical-shell scheme requires d = 3")
     v = u.values
-    div, vmax = _flux_divergence(u, exps, kernel)
+    extent = _support_extent(v)
+    if extent == 0:
+        # no mass, no flux: the zero field is a stationary solution
+        return RadialField(u.grid, v), float(np.inf if dt is None else dt)
+    div, vmax = _flux_divergence(u, exps, kernel, extent)
     if dt is None:
-        dt = _stable_dt(u.grid, float(np.max(v)), vmax, exps, cfg)
-    v_new = v + dt * div
-    if not np.all(np.isfinite(v_new)):
+        dt = _stable_dt(u.grid, float(np.max(v[:extent])), vmax, exps, cfg)
+    w = len(div)
+    v_new = v.copy()
+    v_new[:w] += dt * div
+    if not np.all(np.isfinite(v_new[:w])):
         raise NonFiniteValue("non-finite value produced by time step")
     # roundoff-level negatives only; the CFL rule keeps the update monotone
-    v_new = np.maximum(v_new, 0.0)
+    np.maximum(v_new[:w], 0.0, out=v_new[:w])
     return RadialField(u.grid, v_new), float(dt)
 
 

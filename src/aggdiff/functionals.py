@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ZeroField
 from .field import RadialField, lp_norm, mass, second_moment
 from .params import Exponents
-from .riesz import ReducedKernel, force, interaction, potential_symmetric
+from .riesz import ReducedKernel, _scale_factor, force, interaction
 
 __all__ = [
     "EnergyReport",
@@ -95,10 +95,26 @@ def chemical_potential(
     mu the exact variational derivative of the discrete free energy; the
     flow u_t = div(u grad mu) then dissipates that energy by construction.
     """
+    return RadialField(u.grid, _chemical_potential_values(u, exps, kernel))
+
+
+def _chemical_potential_values(
+    u: RadialField,
+    exps: Exponents,
+    kernel: ReducedKernel,
+    *,
+    rows: int | None = None,
+    extent: int | None = None,
+) -> np.ndarray:
+    """The values of chemical_potential on cells [0, rows) (all by default);
+    extent is the support extent of u when the caller has it."""
     m = exps.m
-    c = potential_symmetric(u, kernel)
-    ent = np.where(u.values > 0.0, u.values, 0.0) ** (m - 1.0) * (m / (m - 1.0))
-    return RadialField(u.grid, ent - exps.c_ds * c.values)
+    v = u.values[:rows]
+    c = _scale_factor(kernel, u.grid, 0.0) * kernel.interaction_matvec(
+        u.values, rows=rows, extent=extent
+    )
+    ent = np.where(v > 0.0, v, 0.0) ** (m - 1.0) * (m / (m - 1.0))
+    return ent - exps.c_ds * c
 
 
 def vhls_quotient(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> float:

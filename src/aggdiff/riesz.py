@@ -10,7 +10,8 @@ closed-form antiderivatives in r', so the influence of each source shell on
 each target radius is integrated exactly for a piecewise-constant density;
 the mild kink of |r - r'|^(2-lam) at r = r' therefore costs no accuracy.
 The per-pair weights are assembled once per grid into dense tables, making
-potential evaluation a matrix-vector product.
+potential evaluation a matrix-vector product.  The interaction operator is
+stored pre-symmetrized and applied only to the support of the density.
 """
 
 from __future__ import annotations
@@ -35,6 +36,12 @@ __all__ = [
 _CHUNK = 256
 
 
+def _support_extent(values: np.ndarray) -> int:
+    """Index of the last nonzero cell plus one (0 for the zero field)."""
+    nonzero = np.flatnonzero(values)
+    return int(nonzero[-1]) + 1 if nonzero.size else 0
+
+
 @dataclass(frozen=True)
 class ReducedKernel:
     """Precomputed shell-to-shell interaction weights on one grid.
@@ -42,35 +49,59 @@ class ReducedKernel:
     pot[i, j]   plain potential weight: phi(r_i) = sum_j pot[i, j] u_j, where
                 phi is the convolution of u with |x|^(-lam) (no prefactor).
                 The two estimates of a shell-pair integral, V_i pot[i, j] and
-                V_j pot[j, i], agree to discretization accuracy; their exact
-                average is used by interaction_matvec so that the interaction
-                energy is an exactly symmetric quadratic form, while the raw
+                V_j pot[j, i], agree to discretization accuracy; the raw
                 rows keep the pointwise potential second-order consistent
                 with the face force.
     frc[f, j]   radial derivative of the plain potential at face f (the face
                 at r = 0 is zero by symmetry).
+    sym[i, j]   the interaction operator 0.5 (pot[i, j] + pot[j, i] V_j / V_i),
+                i.e. V^-1 S with S = (V pot + pot^T V)/2 exactly symmetric.
+                It is derived from pot on construction (so a kernel made by
+                dataclasses.replace with another pot gets its own), not set.
     """
 
     grid: RadialGrid
     lam: float
     pot: np.ndarray = dataclass_field(repr=False)
     frc: np.ndarray = dataclass_field(repr=False)
+    sym: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.pot.flags.writeable = False
         self.frc.flags.writeable = False
+        pot, volumes = self.pot, self.grid.volumes
+        n = len(volumes)
+        sym = np.empty((n, n))
+        # block rows, so no n x n temporary exists beside pot and sym
+        for lo in range(0, n, _CHUNK):
+            hi = min(lo + _CHUNK, n)
+            mirror = pot[:, lo:hi].T * volumes / volumes[lo:hi, None]
+            sym[lo:hi] = 0.5 * (pot[lo:hi] + mirror)
+        sym.flags.writeable = False
+        object.__setattr__(self, "sym", sym)
 
-    def interaction_matvec(self, values: np.ndarray) -> np.ndarray:
-        """Symmetrized potential (S u)_i / V_i with S = (V W + W^T V)/2.
+    def interaction_matvec(
+        self, values: np.ndarray, *, rows: int | None = None, extent: int | None = None
+    ) -> np.ndarray:
+        """Symmetrized potential (S u)_i / V_i with S = (V W + W^T V)/2, as
+        one product with the stored operator sym.
 
         The quadratic form (uV) . result is the interaction energy; its
         kernel matrix S is exactly symmetric, while the raw rows W keep the
         target evaluation exact for the pointwise potential.  The build-grid
         volumes cancel between the two halves, so the result is valid on any
-        length-rescaled grid once multiplied by the outer scale factor."""
-        volumes = self.grid.volumes
-        uv = values * volumes
-        return 0.5 * (self.pot @ values + (self.pot.T @ uv) / volumes)
+        length-rescaled grid once multiplied by the outer scale factor.
+
+        Only the source cells [0, extent) enter, extent being the support
+        extent of values (scanned when not given); this is exact, since
+        empty cells contribute nothing.  The result covers target cells
+        [0, rows), all of them by default."""
+        if extent is None:
+            extent = _support_extent(values)
+        sym = self.sym[:rows]
+        if extent < len(values):
+            sym, values = sym[:, :extent], values[:extent]
+        return sym @ values
 
 
 def _shell_integral(r: np.ndarray, a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:

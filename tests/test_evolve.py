@@ -3,6 +3,7 @@ decay and dissipation budget, blow-up detection, the second-moment balance,
 and the initial-data checks."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,25 @@ def barenblatt(r, t, m=M_EXP, d=3, c0=0.5):
     return t ** (-al) * np.maximum(c0 - kap * r**2 * t ** (-2.0 * al / d), 0.0) ** (
         1.0 / (m - 1.0)
     )
+
+
+def dense_step(u, kernel, exps, cfg):
+    """Reference explicit upwind step on the build grid: the interaction as
+    two dense products, mu, velocity and flux at every face, and the CFL
+    speed over all interior faces."""
+    grid, v, m = u.grid, u.values, exps.m
+    V = grid.volumes
+    phi = 0.5 * (kernel.pot @ v + (kernel.pot.T @ (V * v)) / V)
+    mu = m / (m - 1.0) * v ** (m - 1.0) - exps.c_ds * phi
+    vel = -(mu[1:] - mu[:-1]) / grid.dr
+    up = np.where(vel > 0.0, v[:-1], v[1:])
+    flux = np.zeros(grid.n + 1)
+    flux[1:-1] = grid.face_areas[1:-1] * up * vel
+    div = (flux[:-1] - flux[1:]) / V
+    dt_par = grid.dr**2 / (2.0 * exps.d * m * np.max(v) ** (m - 1.0))
+    dt_adv = grid.dr / (3.0 * np.max(np.abs(vel)))
+    dt = cfg.cfl * min(dt_par, dt_adv)
+    return np.maximum(v + dt * div, 0.0), dt
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +88,30 @@ class TestStep:
         cfg = SimConfig(t_end=1.0)
         v, dt = step(u, kernel, exps, cfg, dt=1e-3)
         assert np.all(v.values == 0.0)
+
+    def test_zero_field_step_is_noop(self, exps, grid, kernel):
+        u = field_from_values(grid, np.zeros(grid.n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v, dt = step(u, kernel, exps, SimConfig(t_end=1.0))
+        assert np.all(v.values == 0.0)
+        assert dt == np.inf
+
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            lambda r: np.maximum(1.0 - r**2, 0.0) ** 2,  # support ends near cell 64
+            lambda r: 0.5 * np.exp(-(r**2) / 8.0),  # support touches the last cell
+        ],
+        ids=["compact", "full"],
+    )
+    def test_matches_dense_reference(self, exps, grid, kernel, profile):
+        u = field_from_function(grid, profile)
+        cfg = SimConfig(t_end=1.0)
+        want, dt_want = dense_step(u, kernel, exps, cfg)
+        v, dt = step(u, kernel, exps, cfg)
+        assert abs(dt - dt_want) <= 1e-12 * dt_want
+        np.testing.assert_allclose(v.values, want, rtol=0.0, atol=1e-12 * np.max(want))
 
     def test_single_step_mass_conservation(self, exps, grid, kernel):
         u = field_from_function(grid, lambda r: np.exp(-(r**2)))
@@ -140,6 +184,16 @@ class TestRun:
         u0 = field_from_function(grid, lambda r: 0.5 * np.exp(-(r**2)))
         tr = run(u0, SimConfig(t_end=0.3, record_every=50), kernel, exps)
         assert np.max(np.abs(tr.mass - tr.mass[0])) <= 1e-8 * tr.mass[0]
+
+    def test_zero_field_completes(self, exps, grid, kernel):
+        # the trivial solution exists globally
+        u0 = field_from_values(grid, np.zeros(grid.n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = run(u0, SimConfig(t_end=1.0), kernel, exps)
+        assert tr.outcome is Outcome.COMPLETED_BOUNDED
+        assert tr.t[-1] == 1.0
+        assert np.all(tr.final.values == 0.0)
 
     def test_energy_monotone(self, exps, grid, kernel):
         u0 = field_from_function(grid, lambda r: 0.5 * np.exp(-(r**2)))

@@ -1,6 +1,8 @@
 """Kernel tables against independent quadrature oracles, scaling laws, the
 sharp interaction bound, and rearrangement monotonicity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -110,6 +112,44 @@ class TestBuild:
         M = mass(u)
         val = potential_at(u, np.array([0.0]), LAM)[0]
         assert abs(val - M / r0**LAM) <= 1e-3 * M / r0**LAM
+
+
+def dense_interaction_matvec(kernel, u):
+    """The interaction matvec from the raw rows: two dense products."""
+    V = kernel.grid.volumes
+    return 0.5 * (kernel.pot @ u + (kernel.pot.T @ (V * u)) / V)
+
+
+class TestInteractionMatvec:
+    @pytest.mark.parametrize("last", [0, 517, 1023])
+    def test_windowed_matches_dense(self, grid1024, kernel1024, last):
+        # support ending at cell 0, at a middle cell and at cell n - 1
+        u = np.zeros(grid1024.n)
+        u[: last + 1] = np.random.default_rng(last).random(last + 1) + 0.1
+        full = kernel1024.interaction_matvec(u)
+        np.testing.assert_allclose(
+            full, dense_interaction_matvec(kernel1024, u), rtol=1e-13, atol=0.0
+        )
+        rows = min(last + 2, grid1024.n)
+        part = kernel1024.interaction_matvec(u, rows=rows, extent=last + 1)
+        assert part.shape == (rows,)
+        np.testing.assert_allclose(part, full[:rows], rtol=1e-14, atol=0.0)
+
+    def test_zero_field(self, grid1024, kernel1024):
+        u = np.zeros(grid1024.n)
+        assert np.all(kernel1024.interaction_matvec(u) == 0.0)
+        part = kernel1024.interaction_matvec(u, rows=1, extent=0)
+        assert part.shape == (1,) and part[0] == 0.0
+
+    def test_replaced_pot_rederives_operator(self, grid1024, kernel1024, gauss1024):
+        # the corrupt-kernel gates double pot with dataclasses.replace; the
+        # operator must follow the new table, not keep the old one
+        doubled = dataclasses.replace(kernel1024, pot=2.0 * kernel1024.pot)
+        u = gauss1024.values
+        np.testing.assert_allclose(
+            doubled.interaction_matvec(u), 2.0 * kernel1024.interaction_matvec(u),
+            rtol=1e-14, atol=0.0,
+        )
 
 
 class TestPotential:
