@@ -120,17 +120,6 @@ class BarrierReport:
     stayed_below: bool
     stayed_above: bool
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "max_ratio": self.max_ratio,
-                "min_ratio": self.min_ratio,
-                "stayed_below": self.stayed_below,
-                "stayed_above": self.stayed_above,
-            },
-            indent=2,
-        )
-
 
 def barrier_check(trace, thresholds: Thresholds, exps: Exponents) -> BarrierReport:
     """Evaluate product(t)/x_star along a recorded trace.

@@ -20,9 +20,11 @@ Configuration files are flat key=value text with dotted sections, e.g.
     grid.n = 512
     experiment.kappas = 0.8,1.2
 
-Unknown keys are rejected so that typos fail loudly.  All numeric output is
-written with 14 significant digits; CSV bodies are deterministic given the
-same config and seed.
+Each params.*, grid.*, extremal.* and sim.* key is the field of the same
+name on ModelParams, RadialGrid, ExtremalOptions and SimConfig.  Unknown
+keys and bad values are rejected at load (exit 1), before any solve, so
+that typos fail loudly.  All numeric output is written with 14 significant
+digits; CSV bodies are deterministic given the same config and seed.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -68,23 +70,28 @@ EXIT_REGIME = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_CHECK_FAILED = 4
 
+_INIT_KINDS = ("threshold_scaled", "gaussian", "ball", "csv")
+_EXTREMAL_INITS = ("bump", "gaussian")  # the starting profiles of solve_extremal
+
 
 @dataclass
 class RunConfig:
-    """Everything a command needs, with laboratory-scale defaults."""
+    """Everything a command needs, with laboratory-scale defaults.
+
+    params, grid, extremal and sim are the library's own objects, so each
+    of their settings and its default is defined once, in the class that
+    uses it; the CLI only shortens the simulation horizon and thins the
+    trace.  Values are checked when the config is built."""
 
     params: ModelParams = dataclass_field(default_factory=lambda: ModelParams(3, 1.1, 1.2))
-    grid_n: int = 512
-    grid_r_max: float = 4.0
-    extremal_opts: ExtremalOptions = dataclass_field(default_factory=ExtremalOptions)
+    grid: RadialGrid = dataclass_field(default_factory=lambda: RadialGrid(512, 4.0))
+    extremal: ExtremalOptions = dataclass_field(default_factory=ExtremalOptions)
     extremal_init: str = "bump"
-    sim_t_end: float = 50.0
-    sim_cfl: float = 0.45
-    sim_dt_min: float = 1e-12
-    sim_blowup_factor: float = 1e3
-    sim_record_every: int = 200
+    sim: SimConfig = dataclass_field(
+        default_factory=lambda: SimConfig(t_end=50.0, record_every=200)
+    )
     kappas: tuple[float, ...] = (0.8, 1.2)
-    init_kind: str = "threshold_scaled"  # or gaussian | ball | csv
+    init_kind: str = "threshold_scaled"
     init_kappa: float = 1.0
     init_amplitude: float = 1.0
     init_width: float = 1.0
@@ -94,42 +101,36 @@ class RunConfig:
     selftest_n: int = 256
     selftest_corrupt_kernel: bool = False
 
-    def sim_config(self, t_end: float | None = None) -> SimConfig:
-        return SimConfig(
-            t_end=t_end if t_end is not None else self.sim_t_end,
-            cfl=self.sim_cfl,
-            dt_min=self.sim_dt_min,
-            blowup_factor=self.sim_blowup_factor,
-            record_every=self.sim_record_every,
-        )
+    def __post_init__(self):
+        if self.init_kind not in _INIT_KINDS:
+            raise ValueError(f"unknown init.kind {self.init_kind!r}; "
+                             f"expected one of {', '.join(_INIT_KINDS)}")
+        if self.extremal_init not in _EXTREMAL_INITS:
+            raise ValueError(f"unknown extremal.init {self.extremal_init!r}; "
+                             f"expected one of {', '.join(_EXTREMAL_INITS)}")
+        if not self.kappas:
+            raise ValueError("experiment.kappas is empty")
+        if self.selftest_n < 2:
+            raise ValueError("selftest.n must be at least 2")
 
 
+# key -> (RunConfig field holding a library object, or None for RunConfig
+# itself; field name)
+_SECTIONS = ("params", "grid", "extremal", "sim")
 _KEYS = {
-    "params.d": ("params", "d", int),
-    "params.s": ("params", "s", float),
-    "params.m": ("params", "m", float),
-    "grid.n": ("grid_n", None, int),
-    "grid.r_max": ("grid_r_max", None, float),
-    "extremal.tol_j": ("extremal_opts", "tol_j", float),
-    "extremal.tol_res": ("extremal_opts", "tol_res", float),
-    "extremal.max_iter": ("extremal_opts", "max_iter", int),
-    "extremal.damping": ("extremal_opts", "damping", float),
-    "extremal.init": ("extremal_init", None, str),
-    "sim.t_end": ("sim_t_end", None, float),
-    "sim.cfl": ("sim_cfl", None, float),
-    "sim.dt_min": ("sim_dt_min", None, float),
-    "sim.blowup_factor": ("sim_blowup_factor", None, float),
-    "sim.record_every": ("sim_record_every", None, int),
-    "experiment.kappas": ("kappas", None, "floats"),
-    "init.kind": ("init_kind", None, str),
-    "init.kappa": ("init_kappa", None, float),
-    "init.amplitude": ("init_amplitude", None, float),
-    "init.width": ("init_width", None, float),
-    "init.csv": ("init_csv", None, str),
-    "out.dir": ("out_dir", None, str),
-    "seed": ("seed", None, int),
-    "selftest.n": ("selftest_n", None, int),
-    "selftest.corrupt_kernel": ("selftest_corrupt_kernel", None, "bool"),
+    **{f"{sec}.{f.name}": (sec, f.name)
+       for sec in _SECTIONS for f in fields(getattr(RunConfig(), sec))},
+    "extremal.init": (None, "extremal_init"),
+    "experiment.kappas": (None, "kappas"),
+    "init.kind": (None, "init_kind"),
+    "init.kappa": (None, "init_kappa"),
+    "init.amplitude": (None, "init_amplitude"),
+    "init.width": (None, "init_width"),
+    "init.csv": (None, "init_csv"),
+    "out.dir": (None, "out_dir"),
+    "seed": (None, "seed"),
+    "selftest.n": (None, "selftest_n"),
+    "selftest.corrupt_kernel": (None, "selftest_corrupt_kernel"),
 }
 
 
@@ -137,11 +138,19 @@ class ConfigError(ValueError):
     pass
 
 
+def _parse(val: str, like):
+    """Parse val into the type of the default value like."""
+    if isinstance(like, bool):
+        return val.lower() in ("1", "true", "yes", "on")
+    if isinstance(like, tuple):
+        return tuple(float(x) for x in val.split(",") if x.strip())
+    return type(like)(val)
+
+
 def load_config(path: str | Path) -> RunConfig:
-    """Parse a flat key=value config file into a RunConfig."""
-    cfg = RunConfig()
-    params_kw = {"d": 3, "s": 1.1, "m": 1.2}
-    extremal_kw = {}
+    """Parse a flat key=value config file into a validated RunConfig."""
+    base = RunConfig()
+    updates: dict = {sec: {} for sec in (None, *_SECTIONS)}  # None: RunConfig itself
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -156,32 +165,17 @@ def load_config(path: str | Path) -> RunConfig:
         key, val = key.strip(), val.strip()
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        attr, sub, typ = _KEYS[key]
+        sec, name = _KEYS[key]
+        like = getattr(base if sec is None else getattr(base, sec), name)
         try:
-            if typ == "floats":
-                parsed = tuple(float(x) for x in val.split(",") if x.strip())
-            elif typ == "bool":
-                parsed = val.lower() in ("1", "true", "yes", "on")
-            else:
-                parsed = typ(val)
+            updates[sec][name] = _parse(val, like)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {val!r}") from exc
-        if attr == "params":
-            params_kw[sub] = parsed
-        elif attr == "extremal_opts":
-            extremal_kw[sub] = parsed
-        else:
-            setattr(cfg, attr, parsed)
-    cfg.params = ModelParams(**params_kw)
-    if extremal_kw:
-        base = ExtremalOptions()
-        cfg.extremal_opts = ExtremalOptions(
-            tol_j=extremal_kw.get("tol_j", base.tol_j),
-            tol_res=extremal_kw.get("tol_res", base.tol_res),
-            max_iter=extremal_kw.get("max_iter", base.max_iter),
-            damping=extremal_kw.get("damping", base.damping),
-        )
-    return cfg
+    try:
+        sections = {sec: replace(getattr(base, sec), **updates[sec]) for sec in _SECTIONS}
+        return replace(base, **sections, **updates[None])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _out_dir(cfg: RunConfig, override: str | None) -> Path:
@@ -194,10 +188,13 @@ def _fmt(x: float) -> str:
     return f"{x:.14e}"
 
 
+def _timestamp() -> str:
+    return time.strftime("%Y-%m-%dT%H:%M:%S")
+
+
 def _solve(cfg: RunConfig):
     exps = derive_exponents(cfg.params)
-    grid = RadialGrid(cfg.grid_n, cfg.grid_r_max)
-    profile = solve_extremal(exps, grid, cfg.extremal_opts, init=cfg.extremal_init)
+    profile = solve_extremal(exps, cfg.grid, cfg.extremal, init=cfg.extremal_init)
     return exps, profile
 
 
@@ -208,13 +205,9 @@ def _profile_sidecar(profile, cfg: RunConfig) -> dict:
         "el_residual": profile.el_residual,
         "iterations": profile.iterations,
         "converged": profile.converged,
-        "params": {
-            "d": cfg.params.d,
-            "s": cfg.params.s,
-            "m": cfg.params.m,
-        },
-        "grid": {"n": profile.w.grid.n, "r_max": profile.w.grid.r_max},
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "params": asdict(cfg.params),
+        "grid": asdict(profile.w.grid),
+        "timestamp": _timestamp(),
     }
 
 
@@ -255,16 +248,18 @@ def cmd_thresholds(cfg: RunConfig, out: str | None) -> int:
     out_path = _out_dir(cfg, out)
     exps, profile = _solve(cfg)
     thr = compute_thresholds(profile, exps)
-    payload = {
-        "x_star": thr.x_star,
-        "g_at_xstar": thr.g_at_xstar,
-        "cstar": thr.cstar,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
+    payload = {**asdict(thr), "timestamp": _timestamp()}
     (out_path / "thresholds.json").write_text(json.dumps(payload, indent=2) + "\n")
     print(f"x_star = {_fmt(thr.x_star)}")
     print(f"g(x_star) = {_fmt(thr.g_at_xstar)}")
     return EXIT_OK
+
+
+def _threshold_field(profile, exps) -> RadialField:
+    """The threshold-scaled maximizer, padded to 8x its support so that a
+    run has room to spread."""
+    wt = threshold_profile(profile, exps)
+    return pad_grid(wt, 8.0 * support_radius(wt))
 
 
 def _initial_condition(cfg: RunConfig, exps, profile_solver) -> RadialField:
@@ -273,22 +268,17 @@ def _initial_condition(cfg: RunConfig, exps, profile_solver) -> RadialField:
     profile_solver is called only for the threshold-scaled family, so the
     other initial-data kinds skip the maximizer solve entirely."""
     if cfg.init_kind == "threshold_scaled":
-        wt = threshold_profile(profile_solver(), exps)
-        wt = pad_grid(wt, 8.0 * support_radius(wt))
+        wt = _threshold_field(profile_solver(), exps)
         return wt.with_values(cfg.init_kappa * wt.values)
     if cfg.init_kind == "gaussian":
-        grid = RadialGrid(cfg.grid_n, cfg.grid_r_max)
         return field_from_function(
-            grid, lambda r: cfg.init_amplitude * np.exp(-((r / cfg.init_width) ** 2))
+            cfg.grid, lambda r: cfg.init_amplitude * np.exp(-((r / cfg.init_width) ** 2))
         )
     if cfg.init_kind == "ball":
-        grid = RadialGrid(cfg.grid_n, cfg.grid_r_max)
         return field_from_function(
-            grid, lambda r: cfg.init_amplitude * (r < cfg.init_width).astype(float)
+            cfg.grid, lambda r: cfg.init_amplitude * (r < cfg.init_width).astype(float)
         )
-    if cfg.init_kind == "csv":
-        return field_from_csv(cfg.init_csv)
-    raise ConfigError(f"unknown init.kind {cfg.init_kind!r}")
+    return field_from_csv(cfg.init_csv)
 
 
 def cmd_classify(cfg: RunConfig, out: str | None) -> int:
@@ -307,17 +297,11 @@ def cmd_classify(cfg: RunConfig, out: str | None) -> int:
 def cmd_evolve(cfg: RunConfig, out: str | None) -> int:
     out_path = _out_dir(cfg, out)
     exps = derive_exponents(cfg.params)
-    grid = RadialGrid(cfg.grid_n, cfg.grid_r_max)
-    u0 = _initial_condition(
-        cfg, exps,
-        lambda: solve_extremal(exps, grid, cfg.extremal_opts,
-                               init=cfg.extremal_init),
-    )
+    u0 = _initial_condition(cfg, exps, lambda: _solve(cfg)[1])
     kernel = build_kernel(u0.grid, exps.lam)
-    trace = run(u0, cfg.sim_config(), kernel, exps)
+    trace = run(u0, cfg.sim, kernel, exps)
     trace_to_csv(trace, out_path / "trace.csv")
-    meta = {"init": cfg.init_kind, "kappa": cfg.init_kappa,
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
+    meta = {"init": cfg.init_kind, "kappa": cfg.init_kappa, "timestamp": _timestamp()}
     (out_path / "trace.json").write_text(
         json.dumps(trace_footer(trace, meta), indent=2) + "\n"
     )
@@ -330,15 +314,14 @@ def cmd_dichotomy(cfg: RunConfig, out: str | None) -> int:
     out_path = _out_dir(cfg, out)
     exps, profile = _solve(cfg)
     thr = compute_thresholds(profile, exps)
-    wt = threshold_profile(profile, exps)
-    wt = pad_grid(wt, 8.0 * support_radius(wt))
+    wt = _threshold_field(profile, exps)
     kernel = build_kernel(wt.grid, exps.lam)
 
     # Detecting blow-up requires the trigger mass to fit into the innermost
     # shell; on a too-coarse grid the focusing stalls below the trigger.
     v0 = float(wt.grid.volumes[0])
     kmax = max(cfg.kappas)
-    trigger_mass = cfg.sim_blowup_factor * max(1.0, kmax * lp_norm(wt, np.inf)) * v0
+    trigger_mass = cfg.sim.blowup_factor * max(1.0, kmax * lp_norm(wt, np.inf)) * v0
     if trigger_mass > 0.8 * kmax * mass(wt):
         print(
             "warning: grid too coarse for the configured blowup_factor "
@@ -357,7 +340,7 @@ def cmd_dichotomy(cfg: RunConfig, out: str | None) -> int:
     for kappa in cfg.kappas:
         u0 = wt.with_values(kappa * wt.values)
         cls = classify(u0, thr, exps, kernel)
-        trace = run(u0, cfg.sim_config(), kernel, exps)
+        trace = run(u0, cfg.sim, kernel, exps)
         trace_to_csv(trace, out_path / f"trace_kappa_{kappa:g}.csv")
         barrier = barrier_check(trace, thr, exps)
         want = expected.get(cls.verdict.value)
@@ -383,13 +366,7 @@ def cmd_dichotomy(cfg: RunConfig, out: str | None) -> int:
             f"kappa={kappa:g}: verdict {cls.verdict.value}, outcome "
             f"{trace.outcome.value}, consistent={consistent}"
         )
-    payload = {
-        "x_star": thr.x_star,
-        "g_at_xstar": thr.g_at_xstar,
-        "cstar": thr.cstar,
-        "rows": summary,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
+    payload = {**asdict(thr), "rows": summary, "timestamp": _timestamp()}
     (out_path / "dichotomy.json").write_text(json.dumps(payload, indent=2) + "\n")
     return EXIT_CHECK_FAILED if any_mismatch else EXIT_OK
 
@@ -401,10 +378,7 @@ def _selftest_checks(cfg: RunConfig):
     grid = RadialGrid(n, 8.0)
     kernel = build_kernel(grid, exps.lam)
     if cfg.selftest_corrupt_kernel:
-        import dataclasses
-
-        kernel = dataclasses.replace(kernel, pot=2.0 * kernel.pot,
-                                     frc=kernel.frc.copy())
+        kernel = replace(kernel, pot=2.0 * kernel.pot, frc=kernel.frc.copy())
     rng = np.random.default_rng(cfg.seed)
     c_hls = hls_sharp_constant(exps.d, exps.lam)
 

@@ -72,6 +72,8 @@ class SimConfig:
             raise ValueError("dt_min must be positive")
         if not self.blowup_factor > 1.0:
             raise ValueError("blowup_factor must exceed 1")
+        if not self.record_every >= 1:
+            raise ValueError("record_every must be at least 1")
 
 
 class Outcome(str, Enum):

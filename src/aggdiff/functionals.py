@@ -74,9 +74,6 @@ class Thresholds:
     g_at_xstar: float
     cstar: float
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
 
 def free_energy(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> float:
     """F(u) = (1/(m-1)) int u^m - (c_ds/2) h(u)."""

@@ -2,11 +2,13 @@
 fault-injection hook of the self-test."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from aggdiff.cli import (
+    ConfigError,
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
     EXIT_NO_CONVERGENCE,
@@ -15,6 +17,29 @@ from aggdiff.cli import (
     load_config,
     main,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# The CLI contract: the accepted config keys and the keys (in order) of the
+# JSON sidecars.
+CONFIG_KEYS = {
+    "params.d", "params.s", "params.m",
+    "grid.n", "grid.r_max",
+    "extremal.tol_j", "extremal.tol_res", "extremal.max_iter",
+    "extremal.damping", "extremal.init",
+    "sim.t_end", "sim.cfl", "sim.dt_min", "sim.blowup_factor",
+    "sim.record_every",
+    "experiment.kappas",
+    "init.kind", "init.kappa", "init.amplitude", "init.width", "init.csv",
+    "out.dir", "seed", "selftest.n", "selftest.corrupt_kernel",
+}
+THRESHOLD_KEYS = ["x_star", "g_at_xstar", "cstar", "timestamp"]
+PROFILE_KEYS = ["cstar", "support_radius", "el_residual", "iterations",
+                "converged", "params", "grid", "timestamp"]
+DICHOTOMY_KEYS = ["x_star", "g_at_xstar", "cstar", "rows", "timestamp"]
+DICHOTOMY_ROW_KEYS = ["kappa", "verdict", "outcome", "t_detect",
+                      "product_over_x_star", "barrier_max_ratio",
+                      "barrier_min_ratio", "consistent"]
 
 
 def write_cfg(path: Path, extra: str = "") -> Path:
@@ -35,8 +60,63 @@ class TestConfig:
     def test_defaults_round_trip(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path))
         assert cfg.params.d == 3
-        assert cfg.grid_n == 384
+        assert cfg.grid.n == 384
         assert cfg.kappas == (0.8, 1.2)
+
+    def test_accepted_keys(self, tmp_path):
+        from aggdiff.cli import _KEYS
+
+        assert set(_KEYS) == CONFIG_KEYS
+        cfg = tmp_path / "one.cfg"
+        for key in CONFIG_KEYS:
+            cfg.write_text(f"{key} = 3\n")
+            try:
+                load_config(cfg)
+            except ConfigError as exc:  # some keys reject the value 3
+                assert "unknown key" not in str(exc)
+
+    def test_sections_are_library_objects(self, tmp_path):
+        cfg = load_config(write_cfg(
+            tmp_path, "sim.cfl = 0.3\nextremal.max_iter = 9\ngrid.r_max = 6\n"))
+        assert cfg.sim.cfl == 0.3 and cfg.sim.t_end == 50.0
+        assert cfg.sim.record_every == 200
+        assert cfg.extremal.max_iter == 9 and cfg.extremal.tol_res == 1e-4
+        assert (cfg.grid.n, cfg.grid.r_max) == (384, 6.0)
+
+    def test_readme_example_loads(self, tmp_path):
+        blocks = re.split(r"^```.*$", README.read_text(), flags=re.M)[1::2]
+        example = next(b for b in blocks if "init.kind" in b)
+        cfg = tmp_path / "readme.cfg"
+        cfg.write_text(example)
+        loaded = load_config(cfg)
+        assert loaded.init_kind == "threshold_scaled"
+        assert loaded.init_kappa == 1.2
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "sim.cfl = 2",
+            "sim.t_end = 0",
+            "sim.dt_min = 0",
+            "sim.blowup_factor = 1",
+            "sim.record_every = 0",
+            "grid.n = 1",
+            "grid.r_max = 0",
+            "selftest.n = 1",
+            "init.kind = nope",
+            "extremal.init = nope",
+            "experiment.kappas =",
+        ],
+    )
+    def test_bad_value_rejected_at_load(self, tmp_path, capsys, line):
+        cfg = write_cfg(tmp_path, line + "\n")
+        out = tmp_path / "out"
+        assert main(["dichotomy", "--config", str(cfg), "--out", str(out)]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+        assert not out.exists()  # rejected before any command ran
 
     @pytest.mark.parametrize("key", ["params.zz", "params.eps"])
     def test_unknown_key_rejected(self, tmp_path, key):
@@ -79,6 +159,10 @@ class TestExtremal:
         csv = (out / "extremal_profile.csv").read_text().splitlines()
         assert csv[0] == "r,w"
         sidecar = json.loads((out / "extremal_profile.json").read_text())
+        assert list(sidecar) == PROFILE_KEYS
+        assert sidecar["params"] == {"d": 3, "s": 1.1, "m": 1.2}
+        assert list(sidecar["grid"]) == ["n", "r_max"]
+        assert sidecar["grid"]["n"] == 384
         assert sidecar["converged"] is True
         assert 1.6 < sidecar["cstar"] < 1.9107373657
         assert sidecar["el_residual"] <= 1e-4
@@ -115,6 +199,7 @@ class TestThresholds:
         out = tmp_path / "out"
         assert main(["thresholds", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         payload = json.loads((out / "thresholds.json").read_text())
+        assert list(payload) == THRESHOLD_KEYS
         assert payload["x_star"] > 0 and payload["g_at_xstar"] > 0
         assert payload["cstar"] < 1.9107373657
 
@@ -173,7 +258,9 @@ class TestDichotomy:
         code = main(["dichotomy", "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_OK
         payload = json.loads((out / "dichotomy.json").read_text())
+        assert list(payload) == DICHOTOMY_KEYS
         row = payload["rows"][0]
+        assert list(row) == DICHOTOMY_ROW_KEYS
         assert row["verdict"] == "Indeterminate"
         assert row["outcome"] == "CompletedBounded"
         assert row["consistent"] is True

@@ -75,6 +75,7 @@ class TestSimConfig:
             {"t_end": 1.0, "cfl": 1.5},
             {"t_end": 1.0, "dt_min": 0.0},
             {"t_end": 1.0, "blowup_factor": 1.0},
+            {"t_end": 1.0, "record_every": 0},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
