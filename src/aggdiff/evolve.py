@@ -240,6 +240,7 @@ def run(
     nstep = 0
     record(u, t, 0.0)
     warned_truncation = False
+    tail = slice(int(0.95 * u0.grid.n), None)  # the outer 5% of the domain
 
     while True:
         if t >= cfg.t_end:
@@ -276,8 +277,7 @@ def run(
             break
         if nstep % cfg.record_every == 0:
             record(u, t, dt)
-        if not warned_truncation:
-            tail = slice(int(0.95 * u.grid.n), None)
+        if not warned_truncation and u.values[tail].any():
             tail_mass = float(u.values[tail] @ u.grid.volumes[tail])
             if tail_mass > 1e-8 * max(mass(u), 1e-300):
                 warnings.warn("mass reached the outer 5% of the domain; "

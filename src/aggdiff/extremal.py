@@ -60,6 +60,16 @@ class ExtremalOptions:
     max_iter: int = 800
     damping: float = 0.5
 
+    def __post_init__(self):
+        if not self.tol_j >= 0:
+            raise ValueError("tol_j must be nonnegative")
+        if not self.tol_res > 0:
+            raise ValueError("tol_res must be positive")
+        if not self.max_iter >= 1:
+            raise ValueError("max_iter must be at least 1")
+        if not 0.0 < self.damping <= 1.0:
+            raise ValueError("damping must lie in (0, 1]")
+
 
 @dataclass(frozen=True)
 class ExtremalProfile:

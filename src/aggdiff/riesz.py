@@ -12,6 +12,16 @@ the mild kink of |r - r'|^(2-lam) at r = r' therefore costs no accuracy.
 The per-pair weights are assembled once per grid into dense tables, making
 potential evaluation a matrix-vector product.  The interaction operator is
 stored pre-symmetrized and applied only to the support of the density.
+
+On the uniform grid the tables are assembled in unit coordinates (radii
+divided by dr).  Targets sit at the cell centres i + 1/2 (potential) or the
+faces f (force) and source edges at the integers j, so r + r' and |r - r'|
+take only half-integer or integer values: every power in the
+antiderivatives comes from one-dimensional tables of about 4n values, read
+through Hankel (index i + j) and Toeplitz (index j - i) views, instead of
+O(n^2) pow calls.  The physical tables are the unit ones times dr^(3 - lam)
+(potential) and dr^(2 - lam) (force), so the homogeneity law used for
+rescaled grids holds exactly.
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridMismatch, UnsupportedDimension
 from .field import RadialField, RadialGrid
@@ -133,26 +144,93 @@ def _pot_row_origin(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
     return 4.0 * np.pi * (b ** (t + 1.0) - a ** (t + 1.0)) / (t + 1.0)
 
 
-def _frc_rows_exact(r: np.ndarray, a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
-    """Exact radial derivative of the potential rows at radii r > 0."""
-    t = 2.0 - lam
-    r = r[:, None]
+def _hankel_toeplitz(hankel: np.ndarray, toeplitz: np.ndarray, n: int):
+    """Row views H[k, j] = hankel[k + j] and T[k, j] = toeplitz[n - 1 - k + j]
+    for j = 0..n, as strided windows without any copy."""
+    return (
+        sliding_window_view(hankel, n + 1),
+        sliding_window_view(toeplitz, n + 1)[::-1],
+    )
 
-    def P2(x):
-        return (r + x) ** (t + 1.0) / (t + 1.0) - r * (r + x) ** t / t
 
-    def G(x):
-        w = x - r
-        aw = np.abs(w)
-        return -r * aw**t / t - np.sign(w) * aw ** (t + 1.0) / (t + 1.0)
+def _pot_table(n: int, t: float, coef: float) -> np.ndarray:
+    """Potential rows in unit coordinates (dr = 1): row i is coef / rho
+    times the difference between neighbouring source edges j of P - M at
+    the centre rho = i + 1/2.  With w = j - rho,
 
-    I = _shell_integral(r, a, b, t)
-    D = t * ((P2(b[None, :]) - G(b[None, :])) - (P2(a[None, :]) - G(a[None, :])))
-    return (2.0 * np.pi / t) * (-I / r**2 + D / r)
+        P - M = [q^(t+2)/(t+2)](rho + j) - [q^(t+2)/(t+2)](|w|)
+                - rho ([q^(t+1)/(t+1)](rho + j) + sign(w) [q^(t+1)/(t+1)](|w|)),
+
+    where rho + j = h[i + j] and |w| = h[j - i - 1] (j > i) or h[i - j]
+    (j <= i) on the half-integers h = k + 1/2."""
+    h = np.arange(2 * n) + 0.5
+    a = h ** (t + 2.0) / (t + 2.0)
+    b = h ** (t + 1.0) / (t + 1.0)
+    a_h, a_t = _hankel_toeplitz(a, np.concatenate((a[n - 1::-1], a[:n])), n)
+    b_h, bs_t = _hankel_toeplitz(b, np.concatenate((-b[n - 1::-1], b[:n])), n)
+    pot = np.empty((n, n))
+    buf = np.empty((2, min(_CHUNK, n), n + 1))
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        F, Y = buf[:, : hi - lo]
+        rho = h[lo:hi, None]
+        np.subtract(a_h[lo:hi], a_t[lo:hi], out=F)
+        np.add(b_h[lo:hi], bs_t[lo:hi], out=Y)
+        Y *= rho
+        F -= Y
+        np.subtract(F[:, 1:], F[:, :-1], out=pot[lo:hi])
+        pot[lo:hi] *= coef / rho
+    return pot
+
+
+def _frc_table(n: int, t: float, coef: float) -> np.ndarray:
+    """Force rows in unit coordinates (dr = 1): row f = 1..n is coef / f
+    times the difference between neighbouring source edges j of
+    t (P2 - G) - (P - M) / f at the face f (row 0 is zero by symmetry).
+    With w = j - f that is
+
+        g^(t+1)(f + j) + sign(w) g^(t+1)(|w|) - f (g^t(f + j) - g^t(|w|))
+        - ([g^(t+2)/(t+2)](f + j) - [g^(t+2)/(t+2)](|w|)) / f
+
+    on the integers g = 0, 1, ..; |w| = g[j - f] (j > f) or g[f - j]."""
+    g = np.arange(2 * n + 1.0)
+    g0 = g**t
+    g1 = g ** (t + 1.0)
+    g2 = g ** (t + 2.0) / (t + 2.0)
+    # windows start at face 1, hence the [1:] of the Hankel tables
+    g0_h, g0_t = _hankel_toeplitz(g0[1:], np.concatenate((g0[n:0:-1], g0[:n])), n)
+    g1_h, sg1_t = _hankel_toeplitz(g1[1:], np.concatenate((-g1[n:0:-1], g1[:n])), n)
+    g2_h, g2_t = _hankel_toeplitz(g2[1:], np.concatenate((g2[n:0:-1], g2[:n])), n)
+    frc = np.empty((n + 1, n))
+    frc[0] = 0.0
+    buf = np.empty((2, min(_CHUNK, n), n + 1))
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        H, Y = buf[:, : hi - lo]
+        f = g[lo + 1 : hi + 1, None]
+        np.add(g1_h[lo:hi], sg1_t[lo:hi], out=H)
+        np.subtract(g0_h[lo:hi], g0_t[lo:hi], out=Y)
+        Y *= f
+        H -= Y
+        np.subtract(g2_h[lo:hi], g2_t[lo:hi], out=Y)
+        Y /= f
+        H -= Y
+        rows = frc[lo + 1 : hi + 1]
+        np.subtract(H[:, 1:], H[:, :-1], out=rows)
+        rows *= coef / f
+    return frc
 
 
 def build_kernel(grid: RadialGrid, lam: float, *, d: int = 3) -> ReducedKernel:
     """Assemble the dense potential and force weight tables for one grid.
+
+    The rows are the exact shell integrals of _pot_rows_exact and their
+    radial derivatives, assembled in unit coordinates from one-dimensional
+    power tables read through Hankel and Toeplitz views (see the module
+    docstring); each antiderivative is evaluated once per cell edge and
+    differenced between neighbouring edges.  The unit tables are scaled by
+    dr^(3 - lam) and dr^(2 - lam), so the homogeneity law of _scale_factor
+    holds exactly between grids of equal n.
 
     Only d = 3 is supported (the angular reduction above is specific to it);
     the kernel power must satisfy 0 < lam < 1.
@@ -161,24 +239,9 @@ def build_kernel(grid: RadialGrid, lam: float, *, d: int = 3) -> ReducedKernel:
         raise UnsupportedDimension(f"radial kernel reduction requires d = 3, got d = {d}")
     if not (0.0 < lam < 1.0):
         raise ValueError(f"kernel power must satisfy 0 < lam < 1, got {lam}")
-
-    e = grid.edges
-    a, b = e[:-1], e[1:]
-    centers = grid.centers
-    n = grid.n
-
-    pot = np.empty((n, n))
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        pot[lo:hi] = _pot_rows_exact(centers[lo:hi], a, b, lam)
-
-    faces = e
-    frc = np.empty((n + 1, n))
-    frc[0] = 0.0
-    for lo in range(1, n + 1, _CHUNK):
-        hi = min(lo + _CHUNK, n + 1)
-        frc[lo:hi] = _frc_rows_exact(faces[lo:hi], a, b, lam)
-
+    t = 2.0 - lam
+    pot = _pot_table(grid.n, t, (2.0 * np.pi / t) * grid.dr ** (3.0 - lam))
+    frc = _frc_table(grid.n, t, (2.0 * np.pi / t) * grid.dr ** (2.0 - lam))
     return ReducedKernel(grid=grid, lam=lam, pot=pot, frc=frc)
 
 
@@ -186,8 +249,10 @@ def _scale_factor(kernel: ReducedKernel, grid: RadialGrid, power_offset: float) 
     """Length-rescaling factor between the kernel's build grid and a target
     grid with the same cell count.  The pure power kernel is homogeneous, so
     its weight tables on a grid scaled by c are the original ones times
-    c^(3 - lam) (potential) or c^(2 - lam) (force); on the build grid itself
-    c = 1 exactly and so is the factor."""
+    c^(3 - lam) (potential) or c^(2 - lam) (force), to roundoff, since
+    build_kernel scales one unit-coordinate table by dr^(3 - lam) or
+    dr^(2 - lam); on the build grid itself c = 1 exactly and so is the
+    factor."""
     if grid.n != kernel.grid.n:
         raise GridMismatch(
             f"kernel built for n = {kernel.grid.n}, field has n = {grid.n}"

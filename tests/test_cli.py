@@ -105,7 +105,10 @@ class TestConfig:
             "selftest.n = 1",
             "init.kind = nope",
             "extremal.init = nope",
+            "extremal.damping = 0",
+            "extremal.max_iter = 0",
             "experiment.kappas =",
+            "init.kind = csv",
         ],
     )
     def test_bad_value_rejected_at_load(self, tmp_path, capsys, line):
@@ -117,6 +120,18 @@ class TestConfig:
         assert err.startswith("config error:")
         assert "Traceback" not in err
         assert not out.exists()  # rejected before any command ran
+
+    def test_missing_init_csv_rejected_at_load(self, tmp_path, capsys):
+        csv = tmp_path / "missing.csv"
+        cfg = write_cfg(tmp_path, f"init.kind = csv\ninit.csv = {csv}\n")
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "missing.csv" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        csv.write_text("r,u\n")
+        assert load_config(cfg).init_csv == str(csv)
 
     @pytest.mark.parametrize("key", ["params.zz", "params.eps"])
     def test_unknown_key_rejected(self, tmp_path, key):

@@ -82,6 +82,20 @@ class TestSolve:
         assert best.iterations == 1
         assert mass(best.w) > 0
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_iter": 0},
+            {"damping": 0.0},
+            {"damping": 1.5},
+            {"tol_j": -1e-10},
+            {"tol_res": 0.0},
+        ],
+    )
+    def test_invalid_options_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            ExtremalOptions(**kwargs)
+
     def test_rejects_other_dimensions(self):
         import aggdiff as ag
         # valid regime at d = 4, but the radial reduction is d = 3 only

@@ -26,6 +26,7 @@ from aggdiff import (
     scale_field,
     vhls_quotient,
 )
+from aggdiff.riesz import _pot_rows_exact, _shell_integral
 from aggdiff.testing import random_density
 
 LAM = 0.8
@@ -112,6 +113,62 @@ class TestBuild:
         M = mass(u)
         val = potential_at(u, np.array([0.0]), LAM)[0]
         assert abs(val - M / r0**LAM) <= 1e-3 * M / r0**LAM
+
+
+def reference_rows(n, r_max, lam, centres, faces):
+    """Potential rows at the given cell centres and force rows at the given
+    faces, from the closed-form antiderivatives of the shell integral
+    evaluated at 40 significant digits in physical coordinates: the
+    library's own P and M on mpmath numbers (only the float pi of their
+    prefactor is double precision), and the derivative's P2 and G written
+    out here."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        lam = mpmath.mpf(lam)
+        t, dr = 2 - lam, mpmath.mpf(r_max) / n
+        edges = np.array([j * dr for j in range(n + 1)], dtype=object)
+        a, b = edges[:-1], edges[1:]
+
+        def E(r, x):  # P2 - G
+            w = x - r
+            return ((r + x) ** (t + 1) / (t + 1) - r * (r + x) ** t / t
+                    + r * abs(w) ** t / t + mpmath.sign(w) * abs(w) ** (t + 1) / (t + 1))
+
+        r = np.array([(i + mpmath.mpf(1) / 2) * dr for i in centres], dtype=object)
+        pot = _pot_rows_exact(r, a, b, lam)
+        frc = []
+        for f in faces:
+            r = f * dr
+            I = _shell_integral(np.array([[r]], dtype=object), a, b, t)[0]
+            e = [E(r, x) for x in edges]
+            D = t * (np.array(e[1:], dtype=object) - np.array(e[:-1], dtype=object))
+            frc.append(2 * mpmath.pi / t * (-I / r**2 + D / r))
+        return pot.astype(float), np.array(frc, dtype=float)
+
+
+class TestTables:
+    def test_against_high_precision_antiderivatives(self):
+        n, r_max = 256, 8.0
+        centres, faces = [0, 1, 7, 128, 255], [1, 2, 7, 128, 256]
+        kernel = build_kernel(RadialGrid(n, r_max), LAM)
+        pot, frc = reference_rows(n, r_max, LAM, centres, faces)
+
+        def row_error(rows, ref):
+            return np.max(np.abs(rows - ref), axis=1) / np.max(np.abs(ref), axis=1)
+
+        assert np.all(row_error(kernel.pot[centres], pot) <= 1e-11)
+        # the face-1 row loses about 8 digits to cancellation between the
+        # two terms of the derivative
+        assert np.all(row_error(kernel.frc[faces], frc) <= 3e-8)
+
+    @pytest.mark.parametrize("c", [0.37, 3.0])
+    def test_exact_homogeneity(self, c):
+        base = build_kernel(RadialGrid(300, 5.0), LAM)
+        scaled = build_kernel(RadialGrid(300, c * 5.0), LAM)
+        pot_ref = c ** (3.0 - LAM) * base.pot
+        frc_ref = c ** (2.0 - LAM) * base.frc
+        np.testing.assert_allclose(scaled.pot, pot_ref, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(scaled.frc, frc_ref, rtol=1e-14, atol=0.0)
 
 
 def dense_interaction_matvec(kernel, u):
