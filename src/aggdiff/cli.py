@@ -105,9 +105,12 @@ class RunConfig:
         if self.init_kind not in _INIT_KINDS:
             raise ValueError(f"unknown init.kind {self.init_kind!r}; "
                              f"expected one of {', '.join(_INIT_KINDS)}")
-        if self.init_kind == "csv" and not Path(self.init_csv).is_file():
-            raise ValueError(f"init.kind = csv needs init.csv naming an existing file, "
-                             f"got {self.init_csv!r}")
+        if self.init_kind == "csv":
+            try:
+                field_from_csv(self.init_csv)
+            except (OSError, ValueError) as exc:
+                raise ValueError(f"init.kind = csv needs init.csv naming a field CSV; "
+                                 f"{self.init_csv!r}: {exc}") from exc
         if self.extremal_init not in _EXTREMAL_INITS:
             raise ValueError(f"unknown extremal.init {self.extremal_init!r}; "
                              f"expected one of {', '.join(_EXTREMAL_INITS)}")

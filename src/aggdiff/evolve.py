@@ -277,7 +277,7 @@ def run(
             break
         if nstep % cfg.record_every == 0:
             record(u, t, dt)
-        if not warned_truncation and u.values[tail].any():
+        if not warned_truncation:
             tail_mass = float(u.values[tail] @ u.grid.volumes[tail])
             if tail_mass > 1e-8 * max(mass(u), 1e-300):
                 warnings.warn("mass reached the outer 5% of the domain; "

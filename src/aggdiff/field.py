@@ -12,6 +12,7 @@ rule holds to machine precision.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -295,7 +296,15 @@ def field_to_csv(u: RadialField, path) -> None:
 
 
 def field_from_csv(path) -> RadialField:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    """Read a field written by field_to_csv: header r,u, then one row per
+    cell centre of a uniform grid starting at the origin.  A file that is
+    not such a table raises ValueError (a missing one, OSError)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # header-only file: caught below
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[0] < 2 or data.shape[1] != 2:
+        raise ValueError(f"field CSV needs columns r,u and at least 2 rows, "
+                         f"got shape {data.shape}")
     r = data[:, 0]
     vals = data[:, 1]
     n = len(r)

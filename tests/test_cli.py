@@ -121,16 +121,34 @@ class TestConfig:
         assert "Traceback" not in err
         assert not out.exists()  # rejected before any command ran
 
-    def test_missing_init_csv_rejected_at_load(self, tmp_path, capsys):
-        csv = tmp_path / "missing.csv"
+    @pytest.mark.parametrize("cmd", ["evolve", "classify"])
+    @pytest.mark.parametrize(
+        "body",
+        [
+            None,                             # no such file
+            "r,u\n",                          # header only
+            "r,u\n0.5,1.0\n",                 # one row
+            "r,u\n0.5\n1.5\n",                # one column
+            "r,u\na,b\nc,d\n",                # not numbers
+            "r,u\n0.5,1.0\n1.5,1.0\n4.5,0.0\n",  # not uniform
+        ],
+    )
+    def test_bad_init_csv_rejected_at_load(self, tmp_path, capsys, cmd, body):
+        csv = tmp_path / "init.csv"
+        if body is not None:
+            csv.write_text(body)
         cfg = write_cfg(tmp_path, f"init.kind = csv\ninit.csv = {csv}\n")
         out = tmp_path / "out"
-        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert main([cmd, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and "missing.csv" in err
+        assert err.startswith("config error:") and "init.csv" in err
         assert "Traceback" not in err
-        assert not out.exists()
-        csv.write_text("r,u\n")
+        assert not out.exists()  # classify fails before its solve
+
+    def test_init_csv_loads(self, tmp_path):
+        csv = tmp_path / "init.csv"
+        csv.write_text("r,u\n0.5,1.0\n1.5,0.5\n2.5,0.0\n")
+        cfg = write_cfg(tmp_path, f"init.kind = csv\ninit.csv = {csv}\n")
         assert load_config(cfg).init_csv == str(csv)
 
     @pytest.mark.parametrize("key", ["params.zz", "params.eps"])
