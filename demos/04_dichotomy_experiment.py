@@ -3,7 +3,7 @@
 are classified first, then integrated -- the small one spreads forever, the
 large one focuses until blow-up detection.
 
-Run:  python demos/04_dichotomy_experiment.py        (about two minutes)
+Run:  python demos/04_dichotomy_experiment.py        (a few seconds)
 Writes:  trace_kappa_*.csv (current directory)
 """
 

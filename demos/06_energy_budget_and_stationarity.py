@@ -4,7 +4,7 @@ between free-energy decay and the recorded dissipation, the second-moment
 balance along a run, and the finite stationarity window of the threshold
 profile (a saddle of the flow).
 
-Run:  python demos/06_energy_budget_and_stationarity.py   (about a minute)
+Run:  python demos/06_energy_budget_and_stationarity.py   (under ten seconds)
 """
 
 import numpy as np

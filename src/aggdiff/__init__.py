@@ -14,7 +14,6 @@ from .errors import (
     NonFiniteValue,
     NotConverged,
     RegimeError,
-    SupportClipped,
     UnsupportedDimension,
     ZeroField,
 )

@@ -50,6 +50,7 @@ from .extremal import (
 from .field import (
     RadialField,
     RadialGrid,
+    _write_csv,
     field_from_csv,
     field_from_function,
     field_to_csv,
@@ -116,6 +117,14 @@ class RunConfig:
                              f"expected one of {', '.join(_EXTREMAL_INITS)}")
         if not self.kappas:
             raise ValueError("experiment.kappas is empty")
+        if not all(0.0 <= k < np.inf for k in self.kappas):
+            raise ValueError("experiment.kappas must be nonnegative and finite")
+        if not 0.0 <= self.init_kappa < np.inf:
+            raise ValueError("init.kappa must be nonnegative and finite")
+        if not 0.0 <= self.init_amplitude < np.inf:
+            raise ValueError("init.amplitude must be nonnegative and finite")
+        if not 0.0 < self.init_width < np.inf:
+            raise ValueError("init.width must be positive and finite")
         if self.selftest_n < 2:
             raise ValueError("selftest.n must be at least 2")
 
@@ -144,10 +153,14 @@ class ConfigError(ValueError):
     pass
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
 def _parse(val: str, like):
     """Parse val into the type of the default value like."""
     if isinstance(like, bool):
-        return val.lower() in ("1", "true", "yes", "on")
+        return _BOOLS[val.lower()]
     if isinstance(like, tuple):
         return tuple(float(x) for x in val.split(",") if x.strip())
     return type(like)(val)
@@ -175,7 +188,7 @@ def load_config(path: str | Path) -> RunConfig:
         like = getattr(base if sec is None else getattr(base, sec), name)
         try:
             updates[sec][name] = _parse(val, like)
-        except ValueError as exc:
+        except (KeyError, ValueError) as exc:  # KeyError: not a boolean spelling
             raise ConfigError(f"line {lineno}: bad value for {key}: {val!r}") from exc
     try:
         sections = {sec: replace(getattr(base, sec), **updates[sec]) for sec in _SECTIONS}
@@ -238,10 +251,7 @@ def cmd_extremal(cfg: RunConfig, out: str | None) -> int:
         profile = exc.profile
         status = EXIT_NO_CONVERGENCE
     csv_path = out_path / "extremal_profile.csv"
-    with open(csv_path, "w", newline="\n") as fh:
-        fh.write("r,w\n")
-        for r, v in zip(profile.w.grid.centers, profile.w.values):
-            fh.write(f"{_fmt(r)},{_fmt(v)}\n")
+    _write_csv(csv_path, "r,w", (profile.w.grid.centers, profile.w.values))
     (out_path / "extremal_profile.json").write_text(
         json.dumps(_profile_sidecar(profile, cfg), indent=2) + "\n"
     )

@@ -9,16 +9,6 @@ class ZeroField(ValueError):
     """An operation that needs a nonzero density received the zero field."""
 
 
-class SupportClipped(RuntimeError):
-    """A rescaled field lost more mass past the grid boundary than allowed."""
-
-    def __init__(self, mass_lost_rel: float):
-        self.mass_lost_rel = mass_lost_rel
-        super().__init__(
-            f"support truncated by grid: relative mass loss {mass_lost_rel:.3e}"
-        )
-
-
 class GridMismatch(ValueError):
     """Field and kernel (or two fields) live on incompatible grids."""
 

@@ -28,13 +28,13 @@ reports the detection time.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 from enum import Enum
 
 import numpy as np
 
 from .errors import NonFiniteValue, UnsupportedDimension
-from .field import RadialField, lp_norm, mass, second_moment
+from .field import RadialField, _write_csv, lp_norm, mass, second_moment
 from .functionals import _chemical_potential_values, dissipation, free_energy
 from .params import Exponents
 from .riesz import ReducedKernel, _support_extent
@@ -64,12 +64,12 @@ class SimConfig:
     record_every: int = 100
 
     def __post_init__(self):
-        if not self.t_end > 0:
-            raise ValueError("t_end must be positive")
+        if not 0.0 < self.t_end < np.inf:
+            raise ValueError("t_end must be positive and finite")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("cfl must lie in (0, 1]")
-        if not self.dt_min > 0:
-            raise ValueError("dt_min must be positive")
+        if not 0.0 < self.dt_min < np.inf:
+            raise ValueError("dt_min must be positive and finite")
         if not self.blowup_factor > 1.0:
             raise ValueError("blowup_factor must exceed 1")
         if not self.record_every >= 1:
@@ -86,8 +86,8 @@ class Outcome(str, Enum):
 class SimTrace:
     """Diagnostic time series plus the terminal outcome.
 
-    Columns: time, mass, L^m norm, sup norm, free energy, second moment,
-    dissipation, and the step size in use at each record.
+    Columns, in CSV order: time, mass, L^m norm, sup norm, free energy,
+    second moment, dissipation, and the step size in use at each record.
     """
 
     t: np.ndarray
@@ -101,6 +101,10 @@ class SimTrace:
     outcome: Outcome
     t_detect: float | None = None
     final: RadialField | None = dataclass_field(default=None, repr=False)
+
+
+# the trace columns: SimTrace's array fields (annotations are strings here)
+_COLUMNS = tuple(f.name for f in fields(SimTrace) if f.type == "np.ndarray")
 
 
 def _flux_divergence(
@@ -220,6 +224,7 @@ def run(
     rows: list[tuple] = []
 
     def record(u: RadialField, t: float, dt: float):
+        # one value per trace column, in the order of _COLUMNS
         rows.append(
             (
                 t,
@@ -284,18 +289,10 @@ def run(
                               "whole-space emulation degraded")
                 warned_truncation = True
 
-    if not rows or rows[-1][0] < t:
-        record(u, t, rows[-1][-1] if rows else 0.0)
-    cols = list(zip(*rows))
+    if rows[-1][0] < t:
+        record(u, t, rows[-1][-1])
     return SimTrace(
-        t=np.asarray(cols[0]),
-        mass=np.asarray(cols[1]),
-        lm=np.asarray(cols[2]),
-        linf=np.asarray(cols[3]),
-        F=np.asarray(cols[4]),
-        m2=np.asarray(cols[5]),
-        dissipation=np.asarray(cols[6]),
-        dt=np.asarray(cols[7]),
+        **{name: np.asarray(col) for name, col in zip(_COLUMNS, zip(*rows))},
         outcome=outcome,
         t_detect=t_detect,
         final=u,
@@ -327,29 +324,15 @@ def virial_check(
 def trace_to_csv(trace: SimTrace, path) -> None:
     """Write the diagnostic series as CSV with header
     t,mass,lm,linf,F,m2,dissipation,dt at 14 significant digits."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,mass,lm,linf,F,m2,dissipation,dt\n")
-        for k in range(len(trace.t)):
-            fh.write(
-                ",".join(
-                    f"{x:.14e}"
-                    for x in (
-                        trace.t[k], trace.mass[k], trace.lm[k], trace.linf[k],
-                        trace.F[k], trace.m2[k], trace.dissipation[k], trace.dt[k],
-                    )
-                )
-                + "\n"
-            )
+    _write_csv(path, ",".join(_COLUMNS), [getattr(trace, name) for name in _COLUMNS])
 
 
-def trace_footer(trace: SimTrace, meta: dict | None = None) -> dict:
+def trace_footer(trace: SimTrace, meta: dict) -> dict:
     """Outcome and metadata for the JSON sidecar accompanying a trace CSV."""
-    out = {
+    return {
         "outcome": trace.outcome.value,
         "t_detect": trace.t_detect,
         "t_final": float(trace.t[-1]),
         "records": int(len(trace.t)),
+        "meta": meta,
     }
-    if meta:
-        out["meta"] = meta
-    return out

@@ -34,7 +34,7 @@ from .field import (
     scale_field,
 )
 from .functionals import Thresholds, xstar_threshold
-from .params import Exponents, ModelParams, derive_exponents
+from .params import Exponents
 from .riesz import ReducedKernel, build_kernel, interaction, potential_symmetric
 
 __all__ = [
@@ -89,12 +89,12 @@ class ExtremalProfile:
     j_history: np.ndarray = dataclass_field(repr=False, default=None)
 
 
-def support_radius(w: RadialField, cutoff: float = _SUPPORT_CUTOFF) -> float:
-    """Largest cell-center radius with w above cutoff * max(w)."""
+def support_radius(w: RadialField) -> float:
+    """Largest cell-center radius with w above 1e-12 * max(w)."""
     vmax = float(np.max(w.values))
     if vmax <= 0.0:
         return 0.0
-    idx = np.nonzero(w.values > cutoff * vmax)[0]
+    idx = np.nonzero(w.values > _SUPPORT_CUTOFF * vmax)[0]
     return float(w.grid.centers[idx[-1]])
 
 
@@ -132,34 +132,32 @@ def _is_nonincreasing(values: np.ndarray, slack: float) -> bool:
 
 
 def solve_extremal(
-    params: ModelParams | Exponents,
+    exps: Exponents,
     grid: RadialGrid,
     opts: ExtremalOptions | None = None,
-    init: str | RadialField = "bump",
+    init: str = "bump",
 ) -> ExtremalProfile:
     """Compute the quotient maximizer by damped fixed-point iteration.
 
+    init names the starting profile on grid: "bump", (1 - (r/r0)^2)_+^(1/(m-1)),
+    or "gaussian", exp(-(r/r0)^2), with r0 = grid.r_max / 4.
     Raises NoConvergence (with the best profile attached) if the iteration
     budget runs out before both the quotient has stagnated to tol_j and the
     stationarity residual is below tol_res.
     """
-    exps = params if isinstance(params, Exponents) else derive_exponents(params)
     if exps.d != 3:
         raise UnsupportedDimension("the radial maximizer solver requires d = 3")
     opts = opts or ExtremalOptions()
 
     kernel = build_kernel(grid, exps.lam)
-    if isinstance(init, RadialField):
-        w = init
-    else:
-        w = _initial_field(grid, init, exps)
-    w, _, _ = normalize_both_norms(w, exps)
+    w, _, _ = normalize_both_norms(_initial_field(grid, init, exps), exps)
 
     omega = opts.damping
     j_hist: list[float] = []
     c_k = interaction(w, kernel)
     j_hist.append(c_k)
     res = np.inf
+    converged = False
     rebuilds = 0
     it = 0
 
@@ -175,7 +173,6 @@ def solve_extremal(
                 new_grid = RadialGrid(w.grid.n, 4.0 * r_sup)
                 w = resample_to(w, new_grid)
                 w, _, _ = normalize_both_norms(w, exps)
-                c_k = interaction(w, kernel)
 
         phi = potential_symmetric(w, kernel).values
         c_k = float((w.values * w.grid.volumes) @ phi)
@@ -205,30 +202,25 @@ def solve_extremal(
         j_hist.append(c_k)
         res = el_residual(w, c_k, exps, kernel)
         if dj <= opts.tol_j * c_k and res <= opts.tol_res:
-            return ExtremalProfile(
-                w=w,
-                cstar=c_k,
-                support_radius=support_radius(w),
-                el_residual=res,
-                iterations=it,
-                converged=True,
-                j_history=np.asarray(j_hist),
-            )
+            converged = True
+            break
 
-    best = ExtremalProfile(
+    profile = ExtremalProfile(
         w=w,
         cstar=c_k,
         support_radius=support_radius(w),
         el_residual=res if np.isfinite(res) else el_residual(w, c_k, exps, kernel),
         iterations=it,
-        converged=False,
+        converged=converged,
         j_history=np.asarray(j_hist),
     )
-    raise NoConvergence(
-        f"no convergence in {opts.max_iter} iterations "
-        f"(residual {best.el_residual:.3e})",
-        profile=best,
-    )
+    if not converged:
+        raise NoConvergence(
+            f"no convergence in {opts.max_iter} iterations "
+            f"(residual {profile.el_residual:.3e})",
+            profile=profile,
+        )
+    return profile
 
 
 def threshold_profile(profile: ExtremalProfile, exps: Exponents) -> RadialField:

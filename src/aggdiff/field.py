@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SupportClipped, ZeroField
+from .errors import ZeroField
 from .params import Exponents
 
 __all__ = [
@@ -159,8 +159,6 @@ def lp_norm(u: RadialField, q: float) -> float:
         return float(np.max(u.values)) if u.grid.n else 0.0
     if q < 1.0:
         raise ValueError(f"lp_norm needs q >= 1 or q = inf, got {q}")
-    if q == 1.0:
-        return mass(u)
     return float((u.values**q) @ u.grid.volumes) ** (1.0 / q)
 
 
@@ -182,46 +180,18 @@ def scale_field(u: RadialField, alpha: float, lam: float) -> RadialField:
     return RadialField(new_grid, alpha * u.values)
 
 
-def apply_dynamic_scaling(
-    u: RadialField,
-    lam: float,
-    exps: Exponents,
-    rebuild_grid: bool = True,
-) -> RadialField:
-    """Apply the invariant rescaling u_lam(x) = lam^(2s/(2-m)) u(lam x).
-
-    With rebuild_grid=True (default) the transformation is exact: the grid is
-    rescaled and no interpolation happens.  With rebuild_grid=False the result
-    is resampled onto u's own grid by monotone piecewise-linear interpolation
-    (clamped at zero); SupportClipped is raised if the truncated tail carries
-    more than 1e-8 of the mass.
-    """
+def apply_dynamic_scaling(u: RadialField, lam: float, exps: Exponents) -> RadialField:
+    """Apply the invariant rescaling u_lam(x) = lam^(2s/(2-m)) u(lam x) exactly:
+    the grid is rescaled (see scale_field), with no interpolation."""
     alpha = lam ** (2.0 * exps.s / (2.0 - exps.m))
-    scaled = scale_field(u, alpha, lam)
-    if rebuild_grid:
-        return scaled
-    return resample_to(scaled, u.grid, max_mass_loss=1e-8)
+    return scale_field(u, alpha, lam)
 
 
-def resample_to(
-    u: RadialField, grid: RadialGrid, max_mass_loss: float | None = None
-) -> RadialField:
-    """Linearly interpolate u onto another grid, clamping at zero.
-
-    If max_mass_loss is given, raise SupportClipped when the relative mass
-    difference from truncating the support exceeds it.
-    """
+def resample_to(u: RadialField, grid: RadialGrid) -> RadialField:
+    """Linearly interpolate u onto another grid, clamping at zero; mass past
+    grid.r_max is dropped."""
     vals = np.interp(grid.centers, u.grid.centers, u.values, left=u.values[0], right=0.0)
-    vals = np.maximum(vals, 0.0)
-    out = RadialField(grid, vals)
-    if max_mass_loss is not None:
-        m_in = mass(u)
-        if m_in > 0.0:
-            beyond = u.grid.centers > grid.r_max
-            lost = float(u.values[beyond] @ u.grid.volumes[beyond]) / m_in
-            if lost > max_mass_loss:
-                raise SupportClipped(lost)
-    return out
+    return RadialField(grid, np.maximum(vals, 0.0))
 
 
 def pad_grid(u: RadialField, r_max_new: float) -> RadialField:
@@ -287,28 +257,36 @@ def rearrange_decreasing(u: RadialField) -> RadialField:
     return RadialField(u.grid, np.maximum(out, 0.0))
 
 
+def _write_csv(path, header: str, columns) -> None:
+    """Write equal-length columns under a header line as CSV rows of %.14e
+    values (14 significant digits); every CSV the package writes uses it."""
+    np.savetxt(path, np.column_stack(columns), fmt="%.14e", delimiter=",",
+               header=header, comments="")
+
+
 def field_to_csv(u: RadialField, path) -> None:
     """Write the field as CSV with header r,u and 14 significant digits."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("r,u\n")
-        for r, v in zip(u.grid.centers, u.values):
-            fh.write(f"{r:.14e},{v:.14e}\n")
+    _write_csv(path, "r,u", (u.grid.centers, u.values))
 
 
 def field_from_csv(path) -> RadialField:
-    """Read a field written by field_to_csv: header r,u, then one row per
-    cell centre of a uniform grid starting at the origin.  A file that is
-    not such a table raises ValueError (a missing one, OSError)."""
+    """Read a field written by field_to_csv: header r,u, then one finite row
+    per cell centre of a uniform grid whose first centre is dr/2.  A file
+    that is not such a table raises ValueError (a missing one, OSError)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # header-only file: caught below
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[0] < 2 or data.shape[1] != 2:
         raise ValueError(f"field CSV needs columns r,u and at least 2 rows, "
                          f"got shape {data.shape}")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("field CSV holds a non-finite value")
     r = data[:, 0]
     vals = data[:, 1]
     n = len(r)
     dr = r[1] - r[0]
     if not np.allclose(np.diff(r), dr, rtol=1e-10):
         raise ValueError("field CSV must be on a uniform radial grid")
+    if not np.isclose(r[0], 0.5 * dr, rtol=1e-10, atol=0.0):
+        raise ValueError(f"field CSV radii must start at dr/2, got {r[0]:g}")
     return RadialField(RadialGrid(n, n * dr), np.maximum(vals, 0.0))

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import GridMismatch, UnsupportedDimension
+from .errors import GridMismatch
 from .field import RadialField, RadialGrid
 
 __all__ = [
@@ -221,7 +221,7 @@ def _frc_table(n: int, t: float, coef: float) -> np.ndarray:
     return frc
 
 
-def build_kernel(grid: RadialGrid, lam: float, *, d: int = 3) -> ReducedKernel:
+def build_kernel(grid: RadialGrid, lam: float) -> ReducedKernel:
     """Assemble the dense potential and force weight tables for one grid.
 
     The rows are the exact shell integrals of _pot_rows_exact and their
@@ -232,11 +232,9 @@ def build_kernel(grid: RadialGrid, lam: float, *, d: int = 3) -> ReducedKernel:
     dr^(3 - lam) and dr^(2 - lam), so the homogeneity law of _scale_factor
     holds exactly between grids of equal n.
 
-    Only d = 3 is supported (the angular reduction above is specific to it);
-    the kernel power must satisfy 0 < lam < 1.
+    The tables are for d = 3 (the angular reduction of the module docstring
+    is specific to it); the kernel power must satisfy 0 < lam < 1.
     """
-    if d != 3:
-        raise UnsupportedDimension(f"radial kernel reduction requires d = 3, got d = {d}")
     if not (0.0 < lam < 1.0):
         raise ValueError(f"kernel power must satisfy 0 < lam < 1, got {lam}")
     t = 2.0 - lam

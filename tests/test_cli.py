@@ -109,6 +109,14 @@ class TestConfig:
             "extremal.max_iter = 0",
             "experiment.kappas =",
             "init.kind = csv",
+            "sim.t_end = inf",
+            "sim.dt_min = inf",
+            "experiment.kappas = -0.5,1.2",
+            "experiment.kappas = 0.8,nan",
+            "init.kappa = -1",
+            "init.width = 0",
+            "init.amplitude = -1",
+            "selftest.corrupt_kernel = ture",
         ],
     )
     def test_bad_value_rejected_at_load(self, tmp_path, capsys, line):
@@ -131,6 +139,8 @@ class TestConfig:
             "r,u\n0.5\n1.5\n",                # one column
             "r,u\na,b\nc,d\n",                # not numbers
             "r,u\n0.5,1.0\n1.5,1.0\n4.5,0.0\n",  # not uniform
+            "r,u\n5.5,1.0\n6.5,0.5\n7.5,0.0\n",  # first centre not at dr/2
+            "r,u\n0.5,1.0\n1.5,nan\n2.5,0.0\n",  # not finite
         ],
     )
     def test_bad_init_csv_rejected_at_load(self, tmp_path, capsys, cmd, body):

@@ -11,7 +11,6 @@ import aggdiff as ag
 from aggdiff import (
     GridMismatch,
     RadialGrid,
-    UnsupportedDimension,
     build_kernel,
     field_from_function,
     field_from_values,
@@ -76,10 +75,6 @@ def gauss1024(grid1024):
 
 
 class TestBuild:
-    def test_rejects_wrong_dimension(self, grid1024):
-        with pytest.raises(UnsupportedDimension):
-            build_kernel(grid1024, LAM, d=4)
-
     def test_rejects_bad_power(self, grid1024):
         with pytest.raises(ValueError):
             build_kernel(grid1024, 1.5)
