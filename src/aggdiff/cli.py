@@ -357,7 +357,7 @@ def cmd_dichotomy(cfg: RunConfig, out: str | None) -> int:
         u0 = wt.with_values(kappa * wt.values)
         cls = classify(u0, thr, exps, kernel)
         trace = run(u0, cfg.sim, kernel, exps)
-        trace_to_csv(trace, out_path / f"trace_kappa_{kappa:g}.csv")
+        trace_to_csv(trace, out_path / f"trace_kappa_{kappa!r}.csv")
         barrier = barrier_check(trace, thr, exps)
         want = expected.get(cls.verdict.value)
         consistent = want is None or trace.outcome is want

@@ -271,8 +271,9 @@ def field_to_csv(u: RadialField, path) -> None:
 
 def field_from_csv(path) -> RadialField:
     """Read a field written by field_to_csv: header r,u, then one finite row
-    per cell centre of a uniform grid whose first centre is dr/2.  A file
-    that is not such a table raises ValueError (a missing one, OSError)."""
+    per cell centre of a uniform grid whose first centre is dr/2, with a
+    nonnegative density.  A file that is not such a table raises ValueError
+    (a missing one, OSError)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # header-only file: caught below
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
@@ -281,6 +282,8 @@ def field_from_csv(path) -> RadialField:
                          f"got shape {data.shape}")
     if not np.all(np.isfinite(data)):
         raise ValueError("field CSV holds a non-finite value")
+    if np.any(data[:, 1] < 0.0):
+        raise ValueError("field CSV holds a negative density")
     r = data[:, 0]
     vals = data[:, 1]
     n = len(r)
@@ -289,4 +292,4 @@ def field_from_csv(path) -> RadialField:
         raise ValueError("field CSV must be on a uniform radial grid")
     if not np.isclose(r[0], 0.5 * dr, rtol=1e-10, atol=0.0):
         raise ValueError(f"field CSV radii must start at dr/2, got {r[0]:g}")
-    return RadialField(RadialGrid(n, n * dr), np.maximum(vals, 0.0))
+    return RadialField(RadialGrid(n, n * dr), vals)

@@ -92,26 +92,27 @@ def chemical_potential(
     mu the exact variational derivative of the discrete free energy; the
     flow u_t = div(u grad mu) then dissipates that energy by construction.
     """
-    return RadialField(u.grid, _chemical_potential_values(u, exps, kernel))
+    pressure, c = _chemical_potential_parts(u, exps, kernel)
+    return RadialField(u.grid, pressure - c)
 
 
-def _chemical_potential_values(
+def _chemical_potential_parts(
     u: RadialField,
     exps: Exponents,
     kernel: ReducedKernel,
     *,
     rows: int | None = None,
     extent: int | None = None,
-) -> np.ndarray:
-    """The values of chemical_potential on cells [0, rows) (all by default);
-    extent is the support extent of u when the caller has it."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two parts of mu on cells [0, rows): the pressure m/(m-1) u^(m-1)
+    and the attraction potential c, so that mu = pressure - c."""
     m = exps.m
     v = u.values[:rows]
-    c = _scale_factor(kernel, u.grid, 0.0) * kernel.interaction_matvec(
+    c = exps.c_ds * (_scale_factor(kernel, u.grid, 0.0) * kernel.interaction_matvec(
         u.values, rows=rows, extent=extent
-    )
-    ent = np.where(v > 0.0, v, 0.0) ** (m - 1.0) * (m / (m - 1.0))
-    return ent - exps.c_ds * c
+    ))
+    pressure = np.where(v > 0.0, v, 0.0) ** (m - 1.0) * (m / (m - 1.0))
+    return pressure, c
 
 
 def vhls_quotient(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> float:

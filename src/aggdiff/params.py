@@ -10,10 +10,8 @@ everywhere else.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.special import gammaln
 
 from .errors import RegimeError
 
@@ -117,12 +115,12 @@ def riesz_constant(d: int, s: float) -> float:
     if not (0.0 < s < d / 2.0):
         raise ValueError(f"riesz_constant needs 0 < s < d/2, got d={d}, s={s}")
     log_c = (
-        gammaln(d / 2.0 - s)
-        - (d / 2.0) * np.log(np.pi)
-        - s * np.log(4.0)
-        - gammaln(s)
+        math.lgamma(d / 2.0 - s)
+        - (d / 2.0) * math.log(math.pi)
+        - s * math.log(4.0)
+        - math.lgamma(s)
     )
-    return float(np.exp(log_c))
+    return math.exp(log_c)
 
 
 def hls_sharp_constant(d: int, lam: float) -> float:
@@ -137,9 +135,9 @@ def hls_sharp_constant(d: int, lam: float) -> float:
     if not (0.0 < lam < d):
         raise ValueError(f"hls_sharp_constant needs 0 < lam < d, got {lam}")
     log_c = (
-        (lam / 2.0) * np.log(np.pi)
-        + gammaln(d / 2.0 - lam / 2.0)
-        - gammaln(d - lam / 2.0)
-        + (lam / d - 1.0) * (gammaln(d / 2.0) - gammaln(d))
+        (lam / 2.0) * math.log(math.pi)
+        + math.lgamma(d / 2.0 - lam / 2.0)
+        - math.lgamma(d - lam / 2.0)
+        + (lam / d - 1.0) * (math.lgamma(d / 2.0) - math.lgamma(d))
     )
-    return float(np.exp(log_c))
+    return math.exp(log_c)

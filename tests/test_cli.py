@@ -141,6 +141,7 @@ class TestConfig:
             "r,u\n0.5,1.0\n1.5,1.0\n4.5,0.0\n",  # not uniform
             "r,u\n5.5,1.0\n6.5,0.5\n7.5,0.0\n",  # first centre not at dr/2
             "r,u\n0.5,1.0\n1.5,nan\n2.5,0.0\n",  # not finite
+            "r,u\n0.5,1.0\n1.5,-0.5\n2.5,0.0\n",  # negative density
         ],
     )
     def test_bad_init_csv_rejected_at_load(self, tmp_path, capsys, cmd, body):
@@ -309,7 +310,7 @@ class TestDichotomy:
         assert row["consistent"] is True
         assert abs(row["barrier_max_ratio"] - 1.0) <= 1e-3
         assert abs(row["barrier_min_ratio"] - 1.0) <= 1e-3
-        body = (out / "trace_kappa_1.csv").read_text().splitlines()
+        body = (out / "trace_kappa_1.0.csv").read_text().splitlines()
         linf = [float(line.split(",")[3]) for line in body[1:]]
         assert 0.9 <= min(linf) / linf[0] and max(linf) / linf[0] <= 1.1
 
@@ -332,6 +333,18 @@ class TestDichotomy:
         assert rows[1.2]["t_detect"] is not None
         assert (out / "trace_kappa_0.8.csv").exists()
         assert (out / "trace_kappa_1.2.csv").exists()
+
+
+    def test_close_kappas_keep_separate_traces(self, tmp_path):
+        # the two amplitudes agree to six significant digits
+        cfg = write_cfg(
+            tmp_path,
+            "grid.n = 512\nsim.t_end = 1.0\nexperiment.kappas = 0.8,0.8000001\n",
+        )
+        out = tmp_path / "out"
+        assert main(["dichotomy", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert sorted(p.name for p in out.glob("trace_kappa_*.csv")) == [
+            "trace_kappa_0.8.csv", "trace_kappa_0.8000001.csv"]
 
 
 class TestSelftest:

@@ -38,22 +38,34 @@ def barenblatt(r, t, m=M_EXP, d=3, c0=0.5):
 
 
 def dense_step(u, kernel, exps, cfg):
-    """Reference explicit upwind step on the build grid: the interaction as
-    two dense products, mu, velocity and flux at every face, and the CFL
-    speed over all interior faces."""
-    grid, v, m = u.grid, u.values, exps.m
+    """Reference linearly implicit upwind step on the whole build grid: mu
+    from two dense products, the n x n matrix of V + dt (flux differences)
+    assembled face by face, and a dense solve.  The step size is the
+    accuracy rule over all interior faces."""
+    grid, v, m, dr = u.grid, u.values, exps.m, u.grid.dr
     V = grid.volumes
     phi = 0.5 * (kernel.pot @ v + (kernel.pot.T @ (V * v)) / V)
-    mu = m / (m - 1.0) * v ** (m - 1.0) - exps.c_ds * phi
-    vel = -(mu[1:] - mu[:-1]) / grid.dr
-    up = np.where(vel > 0.0, v[:-1], v[1:])
-    flux = np.zeros(grid.n + 1)
-    flux[1:-1] = grid.face_areas[1:-1] * up * vel
-    div = (flux[:-1] - flux[1:]) / V
-    dt_par = grid.dr**2 / (2.0 * exps.d * m * np.max(v) ** (m - 1.0))
-    dt_adv = grid.dr / (3.0 * np.max(np.abs(vel)))
-    dt = cfg.cfl * min(dt_par, dt_adv)
-    return np.maximum(v + dt * div, 0.0), dt
+    c = exps.c_ds * phi
+    p = m / (m - 1.0) * v ** (m - 1.0)
+    vel = -((p[1:] - c[1:]) - (p[:-1] - c[:-1])) / dr
+    dt = cfg.cfl * dr / (3.0 * np.max(np.abs(vel)))
+    matrix = np.diag(V)
+    for f in range(1, grid.n):
+        # flux from cell f-1 into cell f: D (u_(f-1) - u_f) + a u_k at the
+        # new time level, upwind cell k from the full velocity
+        k = f - 1 if vel[f - 1] > 0.0 else f
+        a = (c[f] - c[f - 1]) / dr
+        if v[f] != v[f - 1]:
+            D = v[k] * (p[f] - p[f - 1]) / ((v[f] - v[f - 1]) * dr)
+        else:
+            D = m * v[f] ** (m - 1.0) / dr  # u p'(u), zero between empty cells
+        coef = np.zeros(grid.n)
+        coef[f - 1] += D
+        coef[f] -= D
+        coef[k] += a
+        matrix[f - 1] += dt * grid.face_areas[f] * coef
+        matrix[f] -= dt * grid.face_areas[f] * coef
+    return np.maximum(np.linalg.solve(matrix, V * v), 0.0), dt
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +125,41 @@ class TestStep:
         v, dt = step(u, kernel, exps, cfg)
         assert abs(dt - dt_want) <= 1e-12 * dt_want
         np.testing.assert_allclose(v.values, want, rtol=0.0, atol=1e-12 * np.max(want))
+
+    def test_outward_attraction_solves_whole_grid(self, exps, grid, kernel):
+        # with the sign of the interaction flipped, the attraction velocity
+        # at the first face past the support points outward, and the implicit
+        # flux carries mass beyond it within one step: the window must widen
+        repulsive = dataclasses.replace(exps, c_ds=-exps.c_ds)
+        u = field_from_function(grid, lambda r: np.maximum(1.0 - r**2, 0.0) ** 2)
+        cfg = SimConfig(t_end=1.0)
+        want, dt_want = dense_step(u, kernel, repulsive, cfg)
+        v, dt = step(u, kernel, repulsive, cfg)
+        assert abs(dt - dt_want) <= 1e-12 * dt_want
+        np.testing.assert_allclose(v.values, want, rtol=0.0, atol=1e-12 * np.max(want))
+        extent = np.flatnonzero(u.values)[-1] + 1
+        assert v.values[extent + 1] > 0.0  # first cell past the narrow window
+
+    def test_long_step_positive_and_conservative(self, exps, grid, kernel):
+        # the system is an M-matrix with column sums V for every dt
+        from aggdiff.testing import random_density
+        u = random_density(grid, np.random.default_rng(11))
+        cfg = SimConfig(t_end=1.0)
+        _, dt = step(u, kernel, exps, cfg)
+        v, _ = step(u, kernel, exps, cfg, dt=1000.0 * dt)
+        assert np.all(v.values >= 0.0)
+        assert abs(mass(v) - mass(u)) <= 1e-13 * mass(u)
+
+    def test_uniform_field_without_interaction_is_stationary(self, exps, grid, kernel):
+        # no face velocity anywhere: the step size rule has no bound, and the
+        # field solves the implicit system for every dt
+        exps0 = dataclasses.replace(exps, c_ds=0.0)
+        u = field_from_values(grid, np.full(grid.n, 0.3))
+        v, dt = step(u, kernel, exps0, SimConfig(t_end=1.0))
+        assert dt == np.inf and np.all(v.values == u.values)
+        with pytest.warns(UserWarning, match="outer 5%"):  # it fills the grid
+            tr = run(u, SimConfig(t_end=1.0), kernel, exps0)
+        assert tr.outcome is Outcome.COMPLETED_BOUNDED and tr.t[-1] == 1.0
 
     def test_single_step_mass_conservation(self, exps, grid, kernel):
         u = field_from_function(grid, lambda r: np.exp(-(r**2)))
@@ -327,11 +374,12 @@ class TestVirial:
         assert abs(lhs - rhs) <= 0.02 * abs(rhs)
 
     def test_lhs_is_moment_rate_of_step(self, exps, grid, kernel):
-        # the balance and the integrator apply the same flux operator: the
+        # the balance and the integrator share the same face velocities: the
         # lhs is the rate of change of the second moment over a short step
+        # (the implicit step's rate differs from it by O(h))
         u = field_from_function(grid, lambda r: 0.8 * np.exp(-(r**2)))
         lhs, _ = virial_check(u, exps, kernel)
-        h = 1e-6
+        h = 1e-7
         u_h, _ = step(u, kernel, exps, SimConfig(t_end=1.0), dt=h)
         rate = (second_moment(u_h) - second_moment(u)) / h
         assert abs(rate - lhs) <= 1e-6 * abs(lhs)

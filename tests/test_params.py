@@ -1,14 +1,15 @@
 """Parameter validation, exponent arithmetic, and the gamma-based constants.
 
-The gamma-function oracle used here is the standard library's math.lgamma,
-which is an implementation independent of the scipy routines inside the
-package.
+The package evaluates the constants with the standard library's
+math.lgamma; the oracles here write the same formulas out independently,
+and scipy's gammaln gives a second log-gamma implementation to pin against.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from aggdiff import (
     ModelParams,
@@ -126,6 +127,18 @@ class TestRieszConstant:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             riesz_constant(3, 1.5)
+
+
+@pytest.mark.parametrize("s", [1.1, 1.2])  # default and alternate parameter sets
+def test_constants_match_scipy_gammaln(s):
+    d, lam = 3, 3 - 2 * s
+    riesz = np.exp(gammaln(d / 2 - s) - (d / 2) * np.log(np.pi)
+                   - s * np.log(4.0) - gammaln(s))
+    hls = np.exp((lam / 2) * np.log(np.pi) + gammaln(d / 2 - lam / 2)
+                 - gammaln(d - lam / 2)
+                 + (lam / d - 1.0) * (gammaln(d / 2) - gammaln(d)))
+    assert abs(riesz_constant(d, s) - riesz) <= 1e-15 * riesz
+    assert abs(hls_sharp_constant(d, lam) - hls) <= 1e-15 * hls
 
 
 class TestHlsSharpConstant:
