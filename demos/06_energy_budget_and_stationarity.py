@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Diagnostics tour: initial-data checks, the energy report, the budget
-between free-energy decay and the recorded dissipation, the second-moment
+between free-energy decay and the scheme's own dissipation, the second-moment
 balance along a run, and the finite stationarity window of the threshold
 profile (a saddle of the flow).
 
@@ -55,7 +55,7 @@ budget = np.trapezoid(trace.dissipation, trace.t)
 print(f"\nrun to t = {trace.t[-1]:.2f}: {trace.outcome.value}")
 print(f"  free energy dropped by {drop:.5f}")
 print(f"  time-integrated dissipation  {budget:.5f}  "
-      f"(budget closed to {abs(drop-budget)/drop:.1%})")
+      f"(they differ by {abs(drop-budget)/drop:.1e} of the drop: the time-step error)")
 print(f"  mass drift {abs(trace.mass[-1]-trace.mass[0])/trace.mass[0]:.2e}, "
       f"energy monotone: {bool(np.all(np.diff(trace.F) <= 1e-6*abs(trace.F[0])))}")
 

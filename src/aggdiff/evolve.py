@@ -37,9 +37,9 @@ step solves only the cells up to one past the support: every face beyond
 has empty cells on both sides, so no mobility, and while the attraction
 points inward at the first of them (c is radially decreasing) no mass
 crosses it; otherwise the step solves the whole grid.  The cells outside
-stay exactly as they are, and a step of the zero field changes nothing.  Blow-up is detected, not resolved: once the sup norm
-crosses blowup_factor * max(1, ||u0||_inf) the run stops and reports the
-detection time.
+stay exactly as they are, and a step of the zero field changes nothing.
+Blow-up is detected, not resolved: once the sup norm crosses blowup_factor
+* max(1, ||u0||_inf) the run stops and reports the detection time.
 """
 
 from __future__ import annotations
@@ -52,9 +52,9 @@ import numpy as np
 
 from .errors import NonFiniteValue, UnsupportedDimension
 from .field import RadialField, _write_csv, lp_norm, mass, second_moment
-from .functionals import _chemical_potential_parts, dissipation, free_energy
+from .functionals import _face_velocities, _upwind_flux, dissipation, free_energy
 from .params import Exponents
-from .riesz import ReducedKernel, _support_extent
+from .riesz import ReducedKernel
 
 __all__ = [
     "SimConfig",
@@ -109,7 +109,8 @@ class SimTrace:
     """Diagnostic time series plus the terminal outcome.
 
     Columns, in CSV order: time, mass, L^m norm, sup norm, free energy,
-    second moment, dissipation, and the step size in use at each record.
+    second moment, the scheme's own dissipation (functionals.dissipation),
+    and the last step taken before each record (0 before the first step).
     """
 
     t: np.ndarray
@@ -127,18 +128,6 @@ class SimTrace:
 
 # the trace columns: SimTrace's array fields (annotations are strings here)
 _COLUMNS = tuple(f.name for f in fields(SimTrace) if f.type == "np.ndarray")
-
-
-def _face_velocities(
-    u: RadialField, exps: Exponents, kernel: ReducedKernel, rows: int, extent: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """On cells [0, rows): the pressure p = m/(m-1) u^(m-1).  At the faces
-    1..rows-1 between them: the differences dp of p and dc of the attraction
-    potential c across each face, and the velocity v_f = -d_r mu =
-    (dc - dp) / dr.  extent is the support extent of u."""
-    p, c = _chemical_potential_parts(u, exps, kernel, rows=rows, extent=extent)
-    dp, dc = p[1:] - p[:-1], c[1:] - c[:-1]
-    return p, dp, dc, (dc - dp) / u.grid.dr
 
 
 def _solve_tridiagonal(
@@ -175,33 +164,22 @@ def step(
     if exps.d != 3:
         raise UnsupportedDimension("the spherical-shell scheme requires d = 3")
     grid, v = u.grid, u.values
-    n = grid.n
-    extent = _support_extent(v)
-    if extent == 0:
-        # no mass, no flux: the zero field is a stationary solution
-        return RadialField(grid, v), float(np.inf if dt is None else dt)
-    w = min(extent + 1, n)
-    p, dp, dc, vel = _face_velocities(u, exps, kernel, min(w + 1, n), extent)
-    if w < n and dc[w - 1] > 0.0:
-        # attraction points outward at the window face: nothing bounds the
-        # new support short of the whole grid
-        w = n
-        p, dp, dc, vel = _face_velocities(u, exps, kernel, n, extent)
-    vmax = float(np.max(np.abs(vel[:extent])))
+    extent, p, dp, dc, vel, outward = _face_velocities(u, exps, kernel)
+    vmax = float(np.max(np.abs(vel[:extent]), initial=0.0))
     if vmax == 0.0:
-        # no face next to mass moves it: u solves the system for any dt
+        # no face next to mass (if any) moves it: u solves the system for any dt
         return RadialField(grid, v), float(np.inf if dt is None else dt)
     if dt is None:
         dt = cfg.cfl * grid.dr / (3.0 * vmax)
 
     # interior faces 1..w-1 of the window; cells f-1 and f meet at face f
+    w = len(p)
     left, right = v[: w - 1], v[1:w]
-    outward = vel[: w - 1] > 0.0
-    dp, dc, du = dp[: w - 1], dc[: w - 1], right - left
+    du = right - left
     # D_f dr, the frozen secant mobility; between equal cells it is
     # u p'(u) = (m-1) p(u), which is 0 between empty ones
     mobility = np.divide(np.where(outward, left, right) * dp, du,
-                         out=(exps.m - 1.0) * p[1:w], where=du != 0.0)
+                         out=(exps.m - 1.0) * p[1:], where=du != 0.0)
     # dt area_f F_f = upper_f u_f - lower_f u_(f-1) at the new time level;
     # lower_f and upper_f <= 0 are the off-diagonals of rows f and f-1
     total = mobility + np.where(outward, dc, 0.0)  # (D_f + a_f [v_f > 0]) dr
@@ -295,7 +273,8 @@ def run(
     outcome = Outcome.INCONCLUSIVE
     t_detect = None
     nstep = 0
-    record(u, t, 0.0)
+    dt = 0.0  # the last step taken
+    record(u, t, dt)
     warned_truncation = False
     tail = slice(int(0.95 * u0.grid.n), None)  # the outer 5% of the domain
 
@@ -342,7 +321,7 @@ def run(
                 warned_truncation = True
 
     if rows[-1][0] < t:
-        record(u, t, rows[-1][-1])
+        record(u, t, dt)
     return SimTrace(
         **{name: np.asarray(col) for name, col in zip(_COLUMNS, zip(*rows))},
         outcome=outcome,
@@ -357,9 +336,9 @@ def virial_check(
     """Instantaneous second-moment balance.
 
     rhs is the exact identity (2d - 2(d-2s)/(m-1)) int u^m + 2(d-2s) F(u);
-    lhs sums r^2 times the semi-discrete flux divergence at u, the rate of
-    `step` as dt -> 0 (same face velocities and upwind cells).  The two agree
-    up to discretization error, and both vanish at the threshold steady
+    lhs sums r^2 times the divergence of the upwind face flux at u (the one
+    `dissipation` reads), the rate of `step` as dt -> 0.  The two agree up
+    to discretization error, and both vanish at the threshold steady
     profile.
     """
     d, s, m = exps.d, exps.s, exps.m
@@ -369,13 +348,9 @@ def virial_check(
     rhs = (2.0 * d - 2.0 * (d - 2.0 * s) / (m - 1.0)) * um_int \
         + 2.0 * (d - 2.0 * s) * free_energy(u, exps, kernel)
 
-    # the semi-discrete operator: the explicit upwind flux of every face
-    grid, v = u.grid, u.values
-    *_, vel = _face_velocities(u, exps, kernel, grid.n, _support_extent(v))
-    flux = np.zeros(grid.n + 1)
-    flux[1:-1] = grid.face_areas[1:-1] * np.where(vel > 0.0, v[:-1], v[1:]) * vel
-    div = (flux[:-1] - flux[1:]) / grid.volumes
-    lhs = float(div @ grid.moment_weights)
+    flux, _ = _upwind_flux(u, exps, kernel)
+    w = len(flux) - 1  # the window; the divergence vanishes beyond it
+    lhs = float((flux[:-1] - flux[1:]) / u.grid.volumes[:w] @ u.grid.moment_weights[:w])
     return lhs, float(rhs)
 
 

@@ -1,6 +1,6 @@
 """Scalar functionals of a density: free energy, chemical potential, the
 sharp interaction quotient, the barrier function g and its maximizer, and
-the pointwise dissipation diagnostic.
+the energy dissipation of the upwind scheme.
 
 Conventions.  h(u) denotes the plain interaction energy
 iint u(x)u(y)|x-y|^(-lam) dx dy (module riesz).  The free energy is
@@ -27,7 +27,8 @@ import numpy as np
 from .errors import ZeroField
 from .field import RadialField, lp_norm, mass, second_moment
 from .params import Exponents
-from .riesz import ReducedKernel, _scale_factor, force, interaction
+# force has no caller here; the benchmark's tracer wraps functionals.force
+from .riesz import ReducedKernel, _scale_factor, _support_extent, force, interaction
 
 __all__ = [
     "EnergyReport",
@@ -115,6 +116,39 @@ def _chemical_potential_parts(
     return pressure, c
 
 
+def _face_velocities(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> tuple:
+    """The support extent of u; on the window [0, w) of cells that a step
+    solves, the pressure p = m/(m-1) u^(m-1); at the faces 1..w-1 between
+    them, the differences dp of p and dc of the attraction potential c, the
+    velocity v_f = -d_r mu = (dc - dp) / dr, and whether the upwind cell k_f
+    is the inner cell f-1 (v_f > 0) or the outer cell f.  The window ends
+    one cell past the support (see module evolve), and the time step and
+    the upwind flux take their velocities and upwind cells from here."""
+    n, extent = u.grid.n, _support_extent(u.values)
+    w = min(extent + 1, n)
+    p, c = _chemical_potential_parts(u, exps, kernel, rows=min(w + 1, n), extent=extent)
+    if w < n and c[w] > c[w - 1]:
+        # attraction points outward at the window face: nothing bounds the
+        # new support short of the whole grid
+        w = n
+        p, c = _chemical_potential_parts(u, exps, kernel, rows=n, extent=extent)
+    dp, dc = p[1:w] - p[: w - 1], c[1:w] - c[: w - 1]
+    vel = (dc - dp) / u.grid.dr
+    return extent, p[:w], dp, dc, vel, vel > 0.0
+
+
+def _upwind_flux(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> tuple:
+    """The semi-discrete upwind flux F_f = A_f u_(k_f) v_f out through the
+    faces 0..w of the window [0, w), and v_f at its faces 1..w-1.  Every
+    other face carries an exact zero flux: both its cells are empty, or it
+    is r = 0 (zero area) or r = r_max."""
+    _, p, _, _, vel, outward = _face_velocities(u, exps, kernel)
+    w, v = len(p), u.values
+    flux = np.zeros(w + 1)
+    flux[1:w] = u.grid.face_areas[1:w] * np.where(outward, v[: w - 1], v[1:w]) * vel
+    return flux, vel
+
+
 def vhls_quotient(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> float:
     """J(u) = h(u) / (||u||_1^a0 ||u||_m^b0); scale invariant by construction."""
     n1 = mass(u)
@@ -145,23 +179,12 @@ def xstar_threshold(exps: Exponents, cstar: float) -> Thresholds:
 
 
 def dissipation(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> float:
-    """Discrete integral of | 2m/(2m-1) d_r u^(m-1/2) - sqrt(u) d_r c |^2.
-
-    Both gradients are evaluated at interior faces (centered differences of
-    cell values; the analytic face force for d_r c) and integrated with the
-    face-centered volume weight 4 pi rho_f^2 dr.  Vanishes when the flow is
-    stationary, since the integrand equals u |grad mu|^2.
-    """
-    m = exps.m
-    dr = u.grid.dr
-    v = u.values
-    w = v ** (m - 0.5)
-    g1 = (2.0 * m / (2.0 * m - 1.0)) * (w[1:] - w[:-1]) / dr
-    frc = force(u, kernel, exps.c_ds)[1:-1]
-    u_face = 0.5 * (v[1:] + v[:-1])
-    g2 = np.sqrt(u_face) * frc
-    rho = u.grid.edges[1:-1]
-    return float(np.sum((g1 - g2) ** 2 * 4.0 * np.pi * rho**2 * dr))
+    """The scheme's own dissipation D_h = sum_f F_f v_f dr, with F_f = A_f
+    u_(k_f) v_f the upwind face flux.  mu is the exact variational derivative
+    of the discrete free energy, so the semi-discrete flow (the rate of `step`
+    as dt -> 0) has dF/dt = -D_h exactly.  Nonnegative; 0 at steady states."""
+    flux, vel = _upwind_flux(u, exps, kernel)
+    return float(flux[1:-1] @ vel) * u.grid.dr
 
 
 def energy_report(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> EnergyReport:

@@ -64,7 +64,7 @@ class ReducedKernel:
                 rows keep the pointwise potential second-order consistent
                 with the face force.
     frc[f, j]   radial derivative of the plain potential at face f (the face
-                at r = 0 is zero by symmetry).
+                at r = 0 is zero by symmetry).  Read by force() and the benchmark.
     sym[i, j]   the interaction operator 0.5 (pot[i, j] + pot[j, i] V_j / V_i),
                 i.e. V^-1 S with S = (V pot + pot^T V)/2 exactly symmetric.
                 It is derived from pot on construction (so a kernel made by
@@ -268,10 +268,10 @@ def potential(u: RadialField, kernel: ReducedKernel, c_ds: float) -> RadialField
 
 def force(u: RadialField, kernel: ReducedKernel, c_ds: float) -> np.ndarray:
     """Radial derivative of the potential at the n+1 cell faces (zero at
-    r = 0 by symmetry); nonpositive for nonincreasing u."""
+    r = 0 by symmetry); nonpositive for nonincreasing u.  Kept for users and
+    the benchmark's tracer: the scheme differences the cell potential."""
     fac = _scale_factor(kernel, u.grid, 1.0)
     return c_ds * fac * (kernel.frc @ u.values)
-
 
 
 def potential_symmetric(u: RadialField, kernel: ReducedKernel) -> RadialField:

@@ -257,6 +257,32 @@ class TestRun:
         assert drop > 0
         assert abs(drop - budget) <= 0.1 * drop
 
+    def test_budget_gap_is_first_order_time_error(self, exps, grid, kernel):
+        # the recorded dissipation is the scheme's own, so on the criterion-7
+        # run the budget closes to the time error, which halves with cfl
+        u0 = field_from_function(grid, lambda r: 0.5 * np.exp(-(r**2)))
+        gaps = []
+        for cfl in (0.1, 0.05):
+            tr = run(u0, SimConfig(t_end=0.3, cfl=cfl, record_every=5), kernel, exps)
+            drop = tr.F[0] - tr.F[-1]
+            gaps.append(abs(drop - np.trapezoid(tr.dissipation, tr.t)) / drop)
+        assert gaps[1] <= 1e-3
+        assert 0.4 <= gaps[1] / gaps[0] <= 0.6
+
+    def test_final_record_carries_last_step(self, exps):
+        # the closing record holds the step that reached it, whatever the
+        # record cadence
+        grid = RadialGrid(256, 8.0)
+        kernel = build_kernel(grid, exps.lam)
+        u0 = field_from_function(grid, lambda r: 0.5 * np.exp(-(r**2)))
+
+        def dts(every):
+            return run(u0, SimConfig(t_end=0.05, record_every=every), kernel, exps).dt
+
+        last = dts(1)[-1]
+        assert dts(7)[-1] == last
+        np.testing.assert_array_equal(dts(10**9), [0.0, last])
+
     def test_trace_time_strictly_increasing(self, exps, grid, kernel):
         u0 = field_from_function(grid, lambda r: 0.3 * np.exp(-(r**2)))
         tr = run(u0, SimConfig(t_end=0.1, record_every=7), kernel, exps)
