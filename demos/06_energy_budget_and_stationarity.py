@@ -42,7 +42,7 @@ print(f"initial data: mass {rep.mass:.4f}, sup {rep.linf:.4f}, "
 print(f"support clear of the domain boundary: {rep.support_clear_of_boundary}")
 
 print()
-print("energy report (the JSON every run snapshot serializes to):")
+print("energy report (every scalar functional of u0, as JSON):")
 print(energy_report(u0, exps, kernel).to_json())
 
 lhs, rhs = virial_check(u0, exps, kernel)

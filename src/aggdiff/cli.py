@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+import warnings
 from dataclasses import asdict, dataclass, field as dataclass_field, fields, replace
 from pathlib import Path
 
@@ -58,10 +59,11 @@ from .field import (
     mass,
     pad_grid,
 )
-from .functionals import vhls_quotient
 from .params import ModelParams, derive_exponents, hls_sharp_constant
-from .riesz import build_kernel, interaction
-from .testing import random_density
+from .riesz import build_kernel
+from .testing import (exponent_identity_defect, kernel_symmetry_defect, mass_drift,
+                      max_hls_ratio, random_density, rearrangement_loss,
+                      scale_invariance_defect)
 
 __all__ = ["main", "RunConfig", "load_config"]
 
@@ -91,7 +93,7 @@ class RunConfig:
     sim: SimConfig = dataclass_field(
         default_factory=lambda: SimConfig(t_end=50.0, record_every=200)
     )
-    kappas: tuple[float, ...] = (0.8, 1.2)
+    experiment_kappas: tuple[float, ...] = (0.8, 1.2)
     init_kind: str = "threshold_scaled"
     init_kappa: float = 1.0
     init_amplitude: float = 1.0
@@ -100,9 +102,11 @@ class RunConfig:
     out_dir: str = "."
     seed: int = 2357
     selftest_n: int = 256
-    selftest_corrupt_kernel: bool = False
 
     def __post_init__(self):
+        if self.params.d != 3:
+            raise ValueError(f"params.d must be 3 (the radial model is three-dimensional), "
+                             f"got {self.params.d}")
         if self.init_kind not in _INIT_KINDS:
             raise ValueError(f"unknown init.kind {self.init_kind!r}; "
                              f"expected one of {', '.join(_INIT_KINDS)}")
@@ -115,9 +119,9 @@ class RunConfig:
         if self.extremal_init not in _EXTREMAL_INITS:
             raise ValueError(f"unknown extremal.init {self.extremal_init!r}; "
                              f"expected one of {', '.join(_EXTREMAL_INITS)}")
-        if not self.kappas:
+        if not self.experiment_kappas:
             raise ValueError("experiment.kappas is empty")
-        if not all(0.0 <= k < np.inf for k in self.kappas):
+        if not all(0.0 <= k < np.inf for k in self.experiment_kappas):
             raise ValueError("experiment.kappas must be nonnegative and finite")
         if not 0.0 <= self.init_kappa < np.inf:
             raise ValueError("init.kappa must be nonnegative and finite")
@@ -125,27 +129,21 @@ class RunConfig:
             raise ValueError("init.amplitude must be nonnegative and finite")
         if not 0.0 < self.init_width < np.inf:
             raise ValueError("init.width must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.selftest_n < 2:
             raise ValueError("selftest.n must be at least 2")
 
 
 # key -> (RunConfig field holding a library object, or None for RunConfig
-# itself; field name)
+# itself; field name).  A plain RunConfig field's key is its name with the
+# first "_" read as ".", e.g. init_kind -> init.kind.
 _SECTIONS = ("params", "grid", "extremal", "sim")
 _KEYS = {
     **{f"{sec}.{f.name}": (sec, f.name)
        for sec in _SECTIONS for f in fields(getattr(RunConfig(), sec))},
-    "extremal.init": (None, "extremal_init"),
-    "experiment.kappas": (None, "kappas"),
-    "init.kind": (None, "init_kind"),
-    "init.kappa": (None, "init_kappa"),
-    "init.amplitude": (None, "init_amplitude"),
-    "init.width": (None, "init_width"),
-    "init.csv": (None, "init_csv"),
-    "out.dir": (None, "out_dir"),
-    "seed": (None, "seed"),
-    "selftest.n": (None, "selftest_n"),
-    "selftest.corrupt_kernel": (None, "selftest_corrupt_kernel"),
+    **{f.name.replace("_", ".", 1): (None, f.name)
+       for f in fields(RunConfig) if f.name not in _SECTIONS},
 }
 
 
@@ -153,14 +151,8 @@ class ConfigError(ValueError):
     pass
 
 
-_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
-          "0": False, "false": False, "no": False, "off": False}
-
-
 def _parse(val: str, like):
     """Parse val into the type of the default value like."""
-    if isinstance(like, bool):
-        return _BOOLS[val.lower()]
     if isinstance(like, tuple):
         return tuple(float(x) for x in val.split(",") if x.strip())
     return type(like)(val)
@@ -188,7 +180,7 @@ def load_config(path: str | Path) -> RunConfig:
         like = getattr(base if sec is None else getattr(base, sec), name)
         try:
             updates[sec][name] = _parse(val, like)
-        except (KeyError, ValueError) as exc:  # KeyError: not a boolean spelling
+        except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {val!r}") from exc
     try:
         sections = {sec: replace(getattr(base, sec), **updates[sec]) for sec in _SECTIONS}
@@ -336,7 +328,7 @@ def cmd_dichotomy(cfg: RunConfig, out: str | None) -> int:
     # Detecting blow-up requires the trigger mass to fit into the innermost
     # shell; on a too-coarse grid the focusing stalls below the trigger.
     v0 = float(wt.grid.volumes[0])
-    kmax = max(cfg.kappas)
+    kmax = max(cfg.experiment_kappas)
     trigger_mass = cfg.sim.blowup_factor * max(1.0, kmax * lp_norm(wt, np.inf)) * v0
     if trigger_mass > 0.8 * kmax * mass(wt):
         print(
@@ -353,7 +345,7 @@ def cmd_dichotomy(cfg: RunConfig, out: str | None) -> int:
     }
     summary = []
     any_mismatch = False
-    for kappa in cfg.kappas:
+    for kappa in cfg.experiment_kappas:
         u0 = wt.with_values(kappa * wt.values)
         cls = classify(u0, thr, exps, kernel)
         trace = run(u0, cfg.sim, kernel, exps)
@@ -388,91 +380,37 @@ def cmd_dichotomy(cfg: RunConfig, out: str | None) -> int:
 
 
 def _selftest_checks(cfg: RunConfig):
-    """The invariant battery: name -> zero-argument callable returning bool."""
+    """The invariant battery: name -> (measure, bound).  A check passes when
+    its measure (an aggdiff.testing figure, worst case) is <= its bound.  The
+    density measures share one seeded stream, so they run in table order."""
     exps = derive_exponents(cfg.params)
-    n = cfg.selftest_n
-    grid = RadialGrid(n, 8.0)
+    grid = RadialGrid(cfg.selftest_n, 8.0)
     kernel = build_kernel(grid, exps.lam)
-    if cfg.selftest_corrupt_kernel:
-        kernel = replace(kernel, pot=2.0 * kernel.pot, frc=kernel.frc.copy())
-    rng = np.random.default_rng(cfg.seed)
-    c_hls = hls_sharp_constant(exps.d, exps.lam)
+    rng, triples, vectors = (np.random.default_rng(cfg.seed + k) for k in range(3))
 
-    def exponent_identities():
-        ok = True
-        r = np.random.default_rng(cfg.seed + 1)
-        for _ in range(200):
-            d = int(r.integers(3, 7))
-            s = r.uniform(1.0 + 1e-3, d / 2.0 - 1e-3)
-            lo, hi = 2.0 * d / (d + 2.0 * s), 2.0 - 2.0 * s / d
-            m = r.uniform(lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo))
-            e = derive_exponents(ModelParams(d, s, m))
-            ok &= abs(e.b0 - e.m * e.beta) <= 1e-14 * max(1.0, abs(e.b0))
-            ok &= abs(e.a + e.a0 - e.a * e.beta) <= 1e-12 * max(1.0, abs(e.a * e.beta))
-        return ok
-
-    def hls_bound():
-        for _ in range(40):
-            u = random_density(grid, rng)
-            if mass(u) <= 0:
-                continue
-            if vhls_quotient(u, exps, kernel) > c_hls:
-                return False
-        return True
-
-    def scale_invariance():
-        from .field import apply_dynamic_scaling
-        u = random_density(grid, rng)
-        j0 = vhls_quotient(u, exps, kernel)
-        for lam in (0.5, 2.0):
-            v = apply_dynamic_scaling(u, lam, exps)
-            if abs(vhls_quotient(v, exps, kernel) - j0) > 1e-8 * j0:
-                return False
-        return True
-
-    def rearrangement_monotone():
-        from .field import rearrange_decreasing
-        for _ in range(10):
-            u = random_density(grid, rng)
-            h0 = interaction(u, kernel)
-            h1 = interaction(rearrange_decreasing(u), kernel)
-            if h1 < h0 * (1.0 - 1e-8):
-                return False
-        return True
-
-    def kernel_symmetry():
-        r = np.random.default_rng(cfg.seed + 2)
-        V = grid.volumes
-        u, v = r.random(n), r.random(n)
-        lhs = (v * V) @ kernel.interaction_matvec(u)
-        rhs = (u * V) @ kernel.interaction_matvec(v)
-        return abs(lhs - rhs) <= 1e-12 * abs(lhs)
-
-    def mass_conservation():
-        import warnings
-
-        u = random_density(grid, rng)
-        cfg_run = SimConfig(t_end=1e-3, cfl=0.4, record_every=5)
+    def short_run():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # wide tails may brush the domain
-            tr = run(u, cfg_run, kernel, exps)
-        return abs(tr.mass[-1] - tr.mass[0]) <= 1e-8 * tr.mass[0]
+            return run(random_density(grid, rng),
+                       SimConfig(t_end=1e-3, cfl=0.4, record_every=5), kernel, exps)
 
     return {
-        "exponent_identities": exponent_identities,
-        "hls_bound": hls_bound,
-        "scale_invariance": scale_invariance,
-        "rearrangement_monotonicity": rearrangement_monotone,
-        "kernel_symmetry": kernel_symmetry,
-        "mass_conservation": mass_conservation,
+        "exponent_identities": (lambda: exponent_identity_defect(triples, 200), 1e-14),
+        "hls_bound": (lambda: max_hls_ratio(exps, kernel, rng, 40), 1.0),
+        "scale_invariance": (lambda: scale_invariance_defect(
+            random_density(grid, rng), exps, kernel), 1e-8),
+        "rearrangement_monotonicity": (lambda: rearrangement_loss(kernel, rng, 10), 1e-8),
+        "kernel_symmetry": (lambda: kernel_symmetry_defect(kernel, vectors), 1e-12),
+        "mass_conservation": (lambda: mass_drift(short_run()), 1e-8),
     }
 
 
 def cmd_selftest(cfg: RunConfig, out: str | None) -> int:
     failed = []
-    for name, check in _selftest_checks(cfg).items():
-        ok = bool(check())
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
+    for name, (measure, bound) in _selftest_checks(cfg).items():
+        figure = measure()
+        ok = figure <= bound
+        print(f"{'PASS' if ok else 'FAIL'}  {name:<27} {figure:.3e}  (bound {bound:g})")
         if not ok:
             failed.append(name)
     if failed:

@@ -156,7 +156,7 @@ def mass(u: RadialField) -> float:
 def lp_norm(u: RadialField, q: float) -> float:
     """Discrete L^q norm (sum(u_i^q V_i))^(1/q); q = inf gives max u_i."""
     if q == np.inf:
-        return float(np.max(u.values)) if u.grid.n else 0.0
+        return float(np.max(u.values))
     if q < 1.0:
         raise ValueError(f"lp_norm needs q >= 1 or q = inf, got {q}")
     return float((u.values**q) @ u.grid.volumes) ** (1.0 / q)

@@ -1,18 +1,28 @@
-"""Seeded generators of nonnegative radial test densities.
+"""Seeded test densities and one measure per invariant of the lab.
 
-Shared by the property-test suite and the built-in self-test command so
-that both exercise the same family of fields: random mixtures of Gaussian
-shells, compact bumps, and ball indicators, with occasional cusps.  All
-randomness flows through a caller-supplied numpy Generator.
+Shared by the property-test suite, the acceptance battery and the built-in
+self-test command, so that all of them exercise the same family of fields
+(random mixtures of Gaussian shells, compact bumps, and ball indicators,
+with occasional cusps) and compute each invariant the same way.  A measure
+returns the worst figure it finds, NaN if any figure is NaN (so a bound
+check fails); each caller holds its own bound.  All randomness flows
+through a caller-supplied numpy Generator.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .field import RadialField, RadialGrid, field_from_function
+from .evolve import SimTrace
+from .field import (RadialField, RadialGrid, apply_dynamic_scaling, field_from_function,
+                    mass, rearrange_decreasing, scale_field)
+from .functionals import energy_report, vhls_quotient
+from .params import Exponents, ModelParams, derive_exponents, hls_sharp_constant
+from .riesz import ReducedKernel, interaction
 
-__all__ = ["random_density", "trial_densities"]
+__all__ = ["random_density", "trial_densities", "exponent_identity_defect",
+           "max_hls_ratio", "scale_invariance_defect", "rearrangement_loss",
+           "kernel_symmetry_defect", "mass_drift"]
 
 
 def random_density(grid: RadialGrid, rng: np.random.Generator) -> RadialField:
@@ -69,3 +79,84 @@ def trial_densities(grid: RadialGrid, m: float) -> list[RadialField]:
     gallery.append(lambda r: np.exp(-((r / r0) ** 4)))
     gallery.append(lambda r: np.maximum(1.0 - r / r0, 0.0))
     return [field_from_function(grid, f) for f in gallery[:20]]
+
+
+def exponent_identity_defect(rng: np.random.Generator, count: int) -> float:
+    """Worst relative defect of b0 = m beta and a + a0 = a beta over count
+    random regime triples: d in 3..7, s in (1.05, d/2 - 0.05), m in the
+    middle 90% of its window.  Triples with a > 3 are redrawn: near the upper
+    m end a diverges, and the defect would only measure float granularity."""
+    defects = []
+    while len(defects) < count:
+        d = int(rng.integers(3, 8))
+        s = rng.uniform(1.0 + 0.05, d / 2.0 - 0.05)
+        lo, hi = 2.0 * d / (d + 2.0 * s), 2.0 - 2.0 * s / d
+        m = rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo))
+        e = derive_exponents(ModelParams(d, s, m))
+        if e.a <= 3.0:
+            defects.append([abs(e.b0 - e.m * e.beta) / max(1.0, abs(e.b0)),
+                            abs(e.a + e.a0 - e.a * e.beta) / max(1.0, abs(e.a * e.beta))])
+    return float(np.max(defects))
+
+
+def _nonzero_densities(grid: RadialGrid, rng: np.random.Generator,
+                       count: int) -> list[RadialField]:
+    """count random densities less the zero ones (possible on very coarse grids)."""
+    fields = [random_density(grid, rng) for _ in range(count)]
+    return [u for u in fields if mass(u) > 0.0]
+
+
+def max_hls_ratio(exps: Exponents, kernel: ReducedKernel,
+                  rng: np.random.Generator, count: int) -> float:
+    """Largest J(u) / C_HLS(d, lam) over count random densities on the
+    kernel's grid; the sharp bound says it is at most 1."""
+    c_hls = hls_sharp_constant(exps.d, exps.lam)
+    ratios = [vhls_quotient(u, exps, kernel) / c_hls
+              for u in _nonzero_densities(kernel.grid, rng, count)]
+    return float(np.max(ratios, initial=0.0))
+
+
+def scale_invariance_defect(u: RadialField, exps: Exponents,
+                            kernel: ReducedKernel) -> float:
+    """Worst relative change of J under every rescaling alpha u(lam x), and of
+    J, the product ||u||_1^a ||u||_m^m and the scaled energy ||u||_1^a F(u)
+    under the dynamic rescaling; alpha, lam in {1/2, 1, 2}."""
+
+    def invariants(v):
+        rep = energy_report(v, exps, kernel)
+        return np.array([rep.vhls_quotient, rep.product, rep.barrier])
+
+    ref = invariants(u)
+    defects = []
+    for lam in (0.5, 1.0, 2.0):
+        for alpha in (0.5, 1.0, 2.0):
+            j = vhls_quotient(scale_field(u, alpha, lam), exps, kernel)
+            defects.append(abs(j - ref[0]) / ref[0])
+        moved = invariants(apply_dynamic_scaling(u, lam, exps))
+        defects.extend(np.abs(moved - ref) / np.abs(ref))
+    return float(np.max(defects))
+
+
+def rearrangement_loss(kernel: ReducedKernel, rng: np.random.Generator,
+                       count: int) -> float:
+    """Largest relative drop of the interaction energy h under the symmetric
+    decreasing rearrangement over count random densities on the kernel's
+    grid; 0 when rearranging never lowers h (Riesz's inequality)."""
+    drops = [1.0 - interaction(rearrange_decreasing(u), kernel) / interaction(u, kernel)
+             for u in _nonzero_densities(kernel.grid, rng, count)]
+    return float(np.max(drops, initial=0.0))
+
+
+def kernel_symmetry_defect(kernel: ReducedKernel, rng: np.random.Generator) -> float:
+    """Relative asymmetry |<v, K u> - <u, K v>| / |<v, K u>| of the
+    interaction form, <a, b> = sum_i a_i b_i V_i, on two random vectors."""
+    V = kernel.grid.volumes
+    u, v = rng.random(kernel.grid.n), rng.random(kernel.grid.n)
+    lhs = (v * V) @ kernel.interaction_matvec(u)
+    rhs = (u * V) @ kernel.interaction_matvec(v)
+    return float(abs(lhs - rhs) / abs(lhs))
+
+
+def mass_drift(trace: SimTrace) -> float:
+    """Largest relative departure of a run's recorded mass from its start."""
+    return float(np.max(np.abs(trace.mass - trace.mass[0])) / trace.mass[0])

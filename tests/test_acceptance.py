@@ -8,17 +8,14 @@ import numpy as np
 
 import aggdiff as ag
 from aggdiff import (
-    ModelParams,
     Outcome,
     RadialGrid,
     SimConfig,
     Verdict,
-    apply_dynamic_scaling,
     barrier_check,
     barrier_g,
     build_kernel,
     classify,
-    derive_exponents,
     field_from_function,
     free_energy,
     hls_sharp_constant,
@@ -31,7 +28,13 @@ from aggdiff import (
     vhls_quotient,
     virial_check,
 )
-from aggdiff.testing import random_density, trial_densities
+from aggdiff.testing import (
+    exponent_identity_defect,
+    mass_drift,
+    max_hls_ratio,
+    scale_invariance_defect,
+    trial_densities,
+)
 
 LAM = 0.8
 
@@ -47,25 +50,7 @@ def test_criterion_01_exponent_arithmetic(exps):
     assert abs(exps.beta - 4.0 / 3.0) <= 1e-12
     assert abs(exps.p - 12.0 / 11.0) <= 1e-12
     assert abs(exps.lam - 0.8) <= 1e-12
-    rng = np.random.default_rng(314159)
-    worst = 0.0
-    count = 0
-    while count < 1000:
-        d = int(rng.integers(3, 8))
-        s = rng.uniform(1.0 + 0.05, d / 2.0 - 0.05)
-        lo, hi = 2.0 * d / (d + 2.0 * s), 2.0 - 2.0 * s / d
-        m = rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo))
-        e = derive_exponents(ModelParams(d, s, m))
-        if e.a > 3.0:
-            # near the upper m-boundary a diverges and an absolute identity
-            # check would only measure float granularity at large magnitude
-            continue
-        count += 1
-        worst = max(
-            worst,
-            abs(e.b0 - e.m * e.beta) / max(1.0, abs(e.b0)),
-            abs(e.a + e.a0 - e.a * e.beta) / max(1.0, abs(e.a * e.beta)),
-        )
+    worst = exponent_identity_defect(np.random.default_rng(314159), 1000)
     assert worst <= 1e-14, worst
     report(1, f"exponents exact; identity defect {worst:.2e} <= 1e-14 over 1000 triples")
 
@@ -99,11 +84,7 @@ def test_criterion_03_hls_bound(exps):
     grid = RadialGrid(1024, 8.0)
     kernel = build_kernel(grid, LAM)
     c_hls = hls_sharp_constant(3, LAM)
-    rng = np.random.default_rng(271828)
-    worst = 0.0
-    for _ in range(100):
-        u = random_density(grid, rng)
-        worst = max(worst, vhls_quotient(u, exps, kernel) / c_hls)
+    worst = max_hls_ratio(exps, kernel, np.random.default_rng(271828), 100)
     assert worst <= 1.0, worst
     report(3, f"J(u) <= C(3,0.8) = {c_hls:.6f} on 100 seeded fields "
               f"(max ratio {worst:.4f}), zero violations")
@@ -113,19 +94,7 @@ def test_criterion_04_scale_invariance(exps):
     grid = RadialGrid(1024, 8.0)
     kernel = build_kernel(grid, LAM)
     u = field_from_function(grid, lambda r: np.maximum(1.0 - (r / 1.7) ** 2, 0.0) ** 2)
-    j0 = vhls_quotient(u, exps, kernel)
-    prod0 = mass(u) ** exps.a * lp_norm(u, exps.m) ** exps.m
-    barr0 = mass(u) ** exps.a * free_energy(u, exps, kernel)
-    worst = 0.0
-    for alpha in (0.5, 1.0, 2.0):
-        for lam in (0.5, 1.0, 2.0):
-            v = ag.scale_field(u, alpha, lam)
-            worst = max(worst, abs(vhls_quotient(v, exps, kernel) - j0) / j0)
-    for lam in (0.5, 1.0, 2.0):
-        vd = apply_dynamic_scaling(u, lam, exps)
-        prod = mass(vd) ** exps.a * lp_norm(vd, exps.m) ** exps.m
-        barr = mass(vd) ** exps.a * free_energy(vd, exps, kernel)
-        worst = max(worst, abs(prod - prod0) / prod0, abs(barr - barr0) / abs(barr0))
+    worst = scale_invariance_defect(u, exps, kernel)
     assert worst <= 1e-6, worst
     report(4, f"J, invariant product, and scaled energy invariant to {worst:.2e} <= 1e-6")
 
@@ -179,15 +148,15 @@ def test_criterion_07_conservation_and_energy(exps):
     kernel = build_kernel(grid, exps.lam)
     u0 = field_from_function(grid, lambda r: 0.5 * np.exp(-(r**2)))
     tr = run(u0, SimConfig(t_end=0.3, record_every=5), kernel, exps)
-    mass_drift = np.max(np.abs(tr.mass - tr.mass[0])) / tr.mass[0]
-    assert mass_drift <= 1e-8
+    drift = mass_drift(tr)
+    assert drift <= 1e-8
     assert np.all(np.diff(tr.F) <= 1e-6 * abs(tr.F[0]))
     drop = tr.F[0] - tr.F[-1]
     budget = np.trapezoid(tr.dissipation, tr.t)
     assert drop > 0
     rel = abs(drop - budget) / drop
     assert rel <= 0.10
-    report(7, f"mass drift {mass_drift:.2e} <= 1e-8, F monotone, "
+    report(7, f"mass drift {drift:.2e} <= 1e-8, F monotone, "
               f"energy/dissipation budget off by {rel:.1%} <= 10%")
 
 

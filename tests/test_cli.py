@@ -1,12 +1,15 @@
 """Command-line behavior: exit codes, file outputs, determinism, and the
-fault-injection hook of the self-test."""
+self-test report (including a corrupted kernel it must catch)."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
 
 import pytest
 
+import aggdiff.cli
+from aggdiff import build_kernel
 from aggdiff.cli import (
     ConfigError,
     EXIT_CHECK_FAILED,
@@ -31,7 +34,7 @@ CONFIG_KEYS = {
     "sim.record_every",
     "experiment.kappas",
     "init.kind", "init.kappa", "init.amplitude", "init.width", "init.csv",
-    "out.dir", "seed", "selftest.n", "selftest.corrupt_kernel",
+    "out.dir", "seed", "selftest.n",
 }
 THRESHOLD_KEYS = ["x_star", "g_at_xstar", "cstar", "timestamp"]
 PROFILE_KEYS = ["cstar", "support_radius", "el_residual", "iterations",
@@ -61,7 +64,7 @@ class TestConfig:
         cfg = load_config(write_cfg(tmp_path))
         assert cfg.params.d == 3
         assert cfg.grid.n == 384
-        assert cfg.kappas == (0.8, 1.2)
+        assert cfg.experiment_kappas == (0.8, 1.2)
 
     def test_accepted_keys(self, tmp_path):
         from aggdiff.cli import _KEYS
@@ -116,7 +119,9 @@ class TestConfig:
             "init.kappa = -1",
             "init.width = 0",
             "init.amplitude = -1",
-            "selftest.corrupt_kernel = ture",
+            "selftest.corrupt_kernel = ture",  # a removed key
+            "params.d = 4\nparams.s = 1.5",  # a valid regime triple, but not d = 3
+            "seed = -1",
         ],
     )
     def test_bad_value_rejected_at_load(self, tmp_path, capsys, line):
@@ -193,6 +198,12 @@ class TestValidate:
         cfg.write_text("params.s = 1.0\n")
         assert main(["validate", "--config", str(cfg)]) == EXIT_REGIME
         assert "2 < 2s" in capsys.readouterr().err
+
+    def test_other_dimension_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "d4.cfg"
+        cfg.write_text("params.d = 4\nparams.s = 1.5\nparams.m = 1.2\n")
+        assert main(["validate", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "params.d must be 3" in capsys.readouterr().err
 
 
 class TestExtremal:
@@ -347,6 +358,10 @@ class TestDichotomy:
             "trace_kappa_0.8.csv", "trace_kappa_0.8000001.csv"]
 
 
+SELFTEST_NAMES = ["exponent_identities", "hls_bound", "scale_invariance",
+                  "rearrangement_monotonicity", "kernel_symmetry", "mass_conservation"]
+
+
 class TestSelftest:
     def test_passes_with_default_seed(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "selftest.n = 160\n")
@@ -355,10 +370,25 @@ class TestSelftest:
         assert out.count("PASS") >= 6
         assert "FAIL" not in out
 
-    def test_corrupted_kernel_fails_named_check(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, "selftest.n = 160\nselftest.corrupt_kernel = true\n")
+    def test_report_lists_figures_within_bounds(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "selftest.n = 160\n")
+        assert main(["selftest", "--config", str(cfg)]) == EXIT_OK
+        rows = [re.fullmatch(r"PASS  (\w+) +(\S+)  \(bound (\S+)\)", line)
+                for line in capsys.readouterr().out.splitlines()]
+        assert all(rows)
+        assert [row[1] for row in rows] == SELFTEST_NAMES
+        assert all(0.0 <= float(row[2]) <= float(row[3]) for row in rows)
+
+    def test_corrupted_kernel_fails_named_check(self, tmp_path, capsys, monkeypatch):
+        def doubled_kernel(grid, lam):
+            kernel = build_kernel(grid, lam)
+            return dataclasses.replace(kernel, pot=2.0 * kernel.pot)
+
+        monkeypatch.setattr(aggdiff.cli, "build_kernel", doubled_kernel)
+        cfg = write_cfg(tmp_path, "selftest.n = 160\n")
         assert main(["selftest", "--config", str(cfg)]) == EXIT_CHECK_FAILED
         captured = capsys.readouterr()
+        assert "FAIL  hls_bound" in captured.out
         assert "hls_bound" in captured.err
 
     def test_seed_stability(self, tmp_path):
