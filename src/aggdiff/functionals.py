@@ -193,7 +193,8 @@ def energy_report(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> Ene
     n1 = mass(u)
     nm = lp_norm(u, m)
     entropy = nm**m / (m - 1.0)
-    inter = 0.5 * exps.c_ds * interaction(u, kernel)
+    h = interaction(u, kernel)
+    inter = 0.5 * exps.c_ds * h
     fe = entropy - inter
     product = n1**exps.a * nm**m
     return EnergyReport(
@@ -204,6 +205,6 @@ def energy_report(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> Ene
         lm_norm=nm,
         product=product,
         barrier=n1**exps.a * fe,
-        vhls_quotient=vhls_quotient(u, exps, kernel) if n1 > 0 else float("nan"),
+        vhls_quotient=h / (n1**exps.a0 * nm**exps.b0) if n1 > 0 else float("nan"),
         second_moment=second_moment(u),
     )

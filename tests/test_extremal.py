@@ -21,7 +21,9 @@ from aggdiff import (
     threshold_profile,
     vhls_quotient,
 )
+from aggdiff import extremal
 from aggdiff.extremal import ExtremalOptions
+from aggdiff.riesz import ReducedKernel
 from aggdiff.testing import trial_densities
 
 
@@ -81,6 +83,47 @@ class TestSolve:
         assert not best.converged
         assert best.iterations == 1
         assert mass(best.w) > 0
+        assert "budget of 1" in str(err.value)
+
+    def test_one_kernel_product_per_iteration(self, exps, monkeypatch):
+        # one product for the start, one per iteration, one per grid rebuild
+        counts = {"products": 0, "rebuilds": 0}
+        matvec, resample = ReducedKernel.interaction_matvec, extremal.resample_to
+
+        def counted_matvec(self, *args, **kwargs):
+            counts["products"] += 1
+            return matvec(self, *args, **kwargs)
+
+        def counted_resample(*args, **kwargs):
+            counts["rebuilds"] += 1
+            return resample(*args, **kwargs)
+
+        monkeypatch.setattr(ReducedKernel, "interaction_matvec", counted_matvec)
+        monkeypatch.setattr(extremal, "resample_to", counted_resample)
+        p = solve_extremal(exps, RadialGrid(512, 4.0))
+        assert counts["rebuilds"] >= 1
+        assert counts["products"] == 1 + p.iterations + counts["rebuilds"]
+
+    def test_falling_quotient_stops_the_solve(self, exps, monkeypatch):
+        # every potential after the third comes back shrunk, so the first
+        # update after them lowers the quotient
+        potential = extremal.potential_symmetric
+        calls = []
+
+        def shrunk(u, kernel):
+            calls.append(None)
+            phi = potential(u, kernel)
+            return phi if len(calls) <= 3 else phi.with_values(0.5 * phi.values)
+
+        monkeypatch.setattr(extremal, "potential_symmetric", shrunk)
+        with pytest.raises(NoConvergence, match="lowers the quotient") as err:
+            solve_extremal(exps, RadialGrid(256, 4.0))
+        best = err.value.profile
+        assert not best.converged
+        # j_history holds the start and every accepted iterate; the iteration
+        # that fell is counted, not kept
+        assert best.iterations == len(best.j_history) >= 2
+        assert np.all(np.diff(best.j_history) >= 0.0)
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -223,6 +223,7 @@ class TestEnergyReport:
         assert np.isclose(rep.free_energy, rep.entropy_term - rep.interaction_term,
                           rtol=1e-14)
         assert np.isclose(rep.free_energy, free_energy(gauss, exps, kernel), rtol=1e-14)
+        assert rep.vhls_quotient == vhls_quotient(gauss, exps, kernel)
         assert rep.mass > 0 and rep.lm_norm > 0 and rep.second_moment > 0
         payload = json.loads(rep.to_json())
         assert set(payload) == {
