@@ -13,6 +13,7 @@ from aggdiff import (
     ModelParams,
     RadialGrid,
     SimConfig,
+    agrees,
     barrier_check,
     build_kernel,
     classify,
@@ -61,6 +62,7 @@ for kappa in (0.8, 1.2):
     side = "below" if rep.stayed_below else ("above" if rep.stayed_above else "crossed")
     print(f"    invariant product stayed {side} x_star "
           f"(range {rep.min_ratio:.4f} .. {rep.max_ratio:.4f})")
+    print(f"  run bears out the verdict: {agrees(cls, trace, rep)}")
     trace_to_csv(trace, f"trace_kappa_{kappa:g}.csv")
     print(f"    wrote trace_kappa_{kappa:g}.csv")
 

@@ -7,6 +7,9 @@ profile (a saddle of the flow).
 Run:  python demos/06_energy_budget_and_stationarity.py   (under ten seconds)
 """
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 
 from aggdiff import (
@@ -43,7 +46,7 @@ print(f"support clear of the domain boundary: {rep.support_clear_of_boundary}")
 
 print()
 print("energy report (every scalar functional of u0, as JSON):")
-print(energy_report(u0, exps, kernel).to_json())
+print(json.dumps(asdict(energy_report(u0, exps, kernel)), indent=2))
 
 lhs, rhs = virial_check(u0, exps, kernel)
 print(f"\nsecond-moment balance at t = 0: operator {lhs:+.4f} vs identity {rhs:+.4f} "

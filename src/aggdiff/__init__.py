@@ -7,7 +7,7 @@ and integrates the radial flow with conservation, energy, and second-moment
 diagnostics.
 """
 
-from .classify import BarrierReport, Classification, Verdict, barrier_check, classify
+from .classify import BarrierReport, Classification, Verdict, agrees, barrier_check, classify
 from .errors import (
     GridMismatch,
     NoConvergence,

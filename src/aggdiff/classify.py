@@ -13,18 +13,18 @@ carry discretization error of their own.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .field import RadialField, lp_norm, mass
-from .functionals import Thresholds, free_energy
+from .evolve import Outcome, SimTrace
+from .field import RadialField
+from .functionals import Thresholds, energy_report
 from .params import Exponents
 from .riesz import ReducedKernel
 
-__all__ = ["Verdict", "Classification", "classify", "barrier_check", "BarrierReport"]
+__all__ = ["Verdict", "Classification", "classify", "agrees", "barrier_check", "BarrierReport"]
 
 
 class Verdict(str, Enum):
@@ -52,20 +52,6 @@ class Classification:
     product_margin: float
     energy_margin: float
 
-    def to_json(self) -> str:
-        payload = {
-            "verdict": self.verdict.value,
-            "product": self.product,
-            "x_star": self.x_star,
-            "energy_lhs": self.energy_lhs,
-            "g_at_xstar": self.g_at_xstar,
-            "margins": {
-                "product": self.product_margin,
-                "energy": self.energy_margin,
-            },
-        }
-        return json.dumps(payload, indent=2)
-
 
 def classify(
     u0: RadialField,
@@ -80,10 +66,8 @@ def classify(
     below x_star by more than the band; FiniteTimeBlowup the same with the
     product above; anything else is Indeterminate.
     """
-    n1 = mass(u0)
-    nm = lp_norm(u0, exps.m)
-    product = n1**exps.a * nm**exps.m
-    energy_lhs = n1**exps.a * free_energy(u0, exps, kernel)
+    rep = energy_report(u0, exps, kernel)
+    product, energy_lhs = rep.product, rep.barrier
     x_star, g_star = thresholds.x_star, thresholds.g_at_xstar
 
     energy_ok = bool(energy_lhs < g_star)
@@ -121,7 +105,7 @@ class BarrierReport:
     stayed_above: bool
 
 
-def barrier_check(trace, thresholds: Thresholds, exps: Exponents) -> BarrierReport:
+def barrier_check(trace: SimTrace, thresholds: Thresholds, exps: Exponents) -> BarrierReport:
     """Evaluate product(t)/x_star along a recorded trace.
 
     For a run classified as globally existing the ratio must stay below one
@@ -136,3 +120,15 @@ def barrier_check(trace, thresholds: Thresholds, exps: Exponents) -> BarrierRepo
         stayed_below=bool(np.all(ratios < 1.0)),
         stayed_above=bool(np.all(ratios > 1.0)),
     )
+
+
+def agrees(cls: Classification, trace: SimTrace, barrier: BarrierReport) -> bool:
+    """Whether a run bears out its verdict: GlobalExistence needs a run that
+    completed bounded with the product below x_star throughout,
+    FiniteTimeBlowup a detected blow-up with the product above it.
+    Indeterminate makes no prediction, so every run agrees with it."""
+    if cls.verdict is Verdict.GLOBAL_EXISTENCE:
+        return trace.outcome is Outcome.COMPLETED_BOUNDED and barrier.stayed_below
+    if cls.verdict is Verdict.FINITE_TIME_BLOWUP:
+        return trace.outcome is Outcome.BLOWUP_DETECTED and barrier.stayed_above
+    return True

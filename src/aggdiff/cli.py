@@ -23,8 +23,9 @@ Configuration files are flat key=value text with dotted sections, e.g.
 Each params.*, grid.*, extremal.* and sim.* key is the field of the same
 name on ModelParams, RadialGrid, ExtremalOptions and SimConfig.  Unknown
 keys and bad values are rejected at load (exit 1), before any solve, so
-that typos fail loudly.  All numeric output is written with 14 significant
-digits; CSV bodies are deterministic given the same config and seed.
+that typos fail loudly.  CSV numbers are written with 14 significant digits
+and JSON sidecars (all written by _write_json) at full precision; CSV
+bodies are deterministic given the same config and seed.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import barrier_check, classify
+from .classify import agrees, barrier_check, classify
 from .errors import NoConvergence, RegimeError
-from .evolve import Outcome, SimConfig, run, trace_footer, trace_to_csv
+from .evolve import SimConfig, run, trace_to_csv
 from .extremal import (
     ExtremalOptions,
     compute_thresholds,
@@ -48,17 +49,8 @@ from .extremal import (
     support_radius,
     threshold_profile,
 )
-from .field import (
-    RadialField,
-    RadialGrid,
-    _write_csv,
-    field_from_csv,
-    field_from_function,
-    field_to_csv,
-    lp_norm,
-    mass,
-    pad_grid,
-)
+from .field import (RadialField, RadialGrid, _write_csv, field_from_csv, field_from_function,
+                    field_to_csv, pad_grid)
 from .params import ModelParams, derive_exponents, hls_sharp_constant
 from .riesz import build_kernel
 from .testing import (exponent_identity_defect, kernel_symmetry_defect, mass_drift,
@@ -203,23 +195,15 @@ def _timestamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S")
 
 
+def _write_json(path: Path, payload: dict) -> None:
+    """Write a JSON sidecar: two-space indent, keys in payload order."""
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+
+
 def _solve(cfg: RunConfig):
     exps = derive_exponents(cfg.params)
     profile = solve_extremal(exps, cfg.grid, cfg.extremal, init=cfg.extremal_init)
     return exps, profile
-
-
-def _profile_sidecar(profile, cfg: RunConfig) -> dict:
-    return {
-        "cstar": profile.cstar,
-        "support_radius": profile.support_radius,
-        "el_residual": profile.el_residual,
-        "iterations": profile.iterations,
-        "converged": profile.converged,
-        "params": asdict(cfg.params),
-        "grid": asdict(profile.w.grid),
-        "timestamp": _timestamp(),
-    }
 
 
 def cmd_validate(cfg: RunConfig, out: str | None) -> int:
@@ -244,9 +228,16 @@ def cmd_extremal(cfg: RunConfig, out: str | None) -> int:
         status = EXIT_NO_CONVERGENCE
     csv_path = out_path / "extremal_profile.csv"
     _write_csv(csv_path, "r,w", (profile.w.grid.centers, profile.w.values))
-    (out_path / "extremal_profile.json").write_text(
-        json.dumps(_profile_sidecar(profile, cfg), indent=2) + "\n"
-    )
+    _write_json(out_path / "extremal_profile.json", {
+        "cstar": profile.cstar,
+        "support_radius": profile.support_radius,
+        "el_residual": profile.el_residual,
+        "iterations": profile.iterations,
+        "converged": profile.converged,
+        "params": asdict(cfg.params),
+        "grid": asdict(profile.w.grid),
+        "timestamp": _timestamp(),
+    })
     print(f"cstar = {_fmt(profile.cstar)}  (converged: {profile.converged})")
     print(f"wrote {csv_path}")
     return status
@@ -256,8 +247,7 @@ def cmd_thresholds(cfg: RunConfig, out: str | None) -> int:
     out_path = _out_dir(cfg, out)
     exps, profile = _solve(cfg)
     thr = compute_thresholds(profile, exps)
-    payload = {**asdict(thr), "timestamp": _timestamp()}
-    (out_path / "thresholds.json").write_text(json.dumps(payload, indent=2) + "\n")
+    _write_json(out_path / "thresholds.json", {**asdict(thr), "timestamp": _timestamp()})
     print(f"x_star = {_fmt(thr.x_star)}")
     print(f"g(x_star) = {_fmt(thr.g_at_xstar)}")
     return EXIT_OK
@@ -296,7 +286,14 @@ def cmd_classify(cfg: RunConfig, out: str | None) -> int:
     u0 = _initial_condition(cfg, exps, lambda: profile)
     kernel = build_kernel(u0.grid, exps.lam)
     cls = classify(u0, thr, exps, kernel)
-    (out_path / "classification.json").write_text(cls.to_json() + "\n")
+    _write_json(out_path / "classification.json", {
+        "verdict": cls.verdict.value,
+        "product": cls.product,
+        "x_star": cls.x_star,
+        "energy_lhs": cls.energy_lhs,
+        "g_at_xstar": cls.g_at_xstar,
+        "margins": {"product": cls.product_margin, "energy": cls.energy_margin},
+    })
     print(f"verdict = {cls.verdict.value}")
     print(f"product/x_star = {_fmt(cls.product / cls.x_star)}")
     return EXIT_OK
@@ -309,10 +306,13 @@ def cmd_evolve(cfg: RunConfig, out: str | None) -> int:
     kernel = build_kernel(u0.grid, exps.lam)
     trace = run(u0, cfg.sim, kernel, exps)
     trace_to_csv(trace, out_path / "trace.csv")
-    meta = {"init": cfg.init_kind, "kappa": cfg.init_kappa, "timestamp": _timestamp()}
-    (out_path / "trace.json").write_text(
-        json.dumps(trace_footer(trace, meta), indent=2) + "\n"
-    )
+    _write_json(out_path / "trace.json", {
+        "outcome": trace.outcome.value,
+        "t_detect": trace.t_detect,
+        "t_final": float(trace.t[-1]),
+        "records": len(trace.t),
+        "meta": {"init": cfg.init_kind, "kappa": cfg.init_kappa, "timestamp": _timestamp()},
+    })
     field_to_csv(trace.final, out_path / "final_state.csv")
     print(f"outcome = {trace.outcome.value}")
     return EXIT_OK
@@ -324,40 +324,14 @@ def cmd_dichotomy(cfg: RunConfig, out: str | None) -> int:
     thr = compute_thresholds(profile, exps)
     wt = _threshold_field(profile, exps)
     kernel = build_kernel(wt.grid, exps.lam)
-
-    # Detecting blow-up requires the trigger mass to fit into the innermost
-    # shell; on a too-coarse grid the focusing stalls below the trigger.
-    v0 = float(wt.grid.volumes[0])
-    kmax = max(cfg.experiment_kappas)
-    trigger_mass = cfg.sim.blowup_factor * max(1.0, kmax * lp_norm(wt, np.inf)) * v0
-    if trigger_mass > 0.8 * kmax * mass(wt):
-        print(
-            "warning: grid too coarse for the configured blowup_factor "
-            f"(trigger needs {trigger_mass:.3g} mass in the first shell, "
-            f"{kmax * mass(wt):.3g} available); increase grid.n or lower "
-            "sim.blowup_factor",
-            file=sys.stderr,
-        )
-
-    expected = {
-        "GlobalExistence": Outcome.COMPLETED_BOUNDED,
-        "FiniteTimeBlowup": Outcome.BLOWUP_DETECTED,
-    }
     summary = []
-    any_mismatch = False
     for kappa in cfg.experiment_kappas:
         u0 = wt.with_values(kappa * wt.values)
         cls = classify(u0, thr, exps, kernel)
         trace = run(u0, cfg.sim, kernel, exps)
         trace_to_csv(trace, out_path / f"trace_kappa_{kappa!r}.csv")
         barrier = barrier_check(trace, thr, exps)
-        want = expected.get(cls.verdict.value)
-        consistent = want is None or trace.outcome is want
-        if cls.verdict.value == "GlobalExistence":
-            consistent = consistent and barrier.stayed_below
-        elif cls.verdict.value == "FiniteTimeBlowup":
-            consistent = consistent and barrier.stayed_above
-        any_mismatch |= not consistent
+        consistent = agrees(cls, trace, barrier)
         summary.append(
             {
                 "kappa": kappa,
@@ -374,9 +348,9 @@ def cmd_dichotomy(cfg: RunConfig, out: str | None) -> int:
             f"kappa={kappa:g}: verdict {cls.verdict.value}, outcome "
             f"{trace.outcome.value}, consistent={consistent}"
         )
-    payload = {**asdict(thr), "rows": summary, "timestamp": _timestamp()}
-    (out_path / "dichotomy.json").write_text(json.dumps(payload, indent=2) + "\n")
-    return EXIT_CHECK_FAILED if any_mismatch else EXIT_OK
+    _write_json(out_path / "dichotomy.json",
+                {**asdict(thr), "rows": summary, "timestamp": _timestamp()})
+    return EXIT_OK if all(row["consistent"] for row in summary) else EXIT_CHECK_FAILED
 
 
 def _selftest_checks(cfg: RunConfig):

@@ -200,8 +200,8 @@ def step(
 @dataclass(frozen=True)
 class HypothesisReport:
     """Measures of initial data that hypothesis_check found finite: mass,
-    sup norm, second moment, and the L^2 norm of d_r(u^m), plus a flag if
-    the support already touches the outer 5% of the domain."""
+    sup norm, second moment, and the L^2 norm of d_r(u^m), plus whether the
+    data stays clear of the outer 5% of the domain (see _reaches_boundary)."""
 
     mass: float
     linf: float
@@ -210,25 +210,32 @@ class HypothesisReport:
     support_clear_of_boundary: bool
 
 
+def _reaches_boundary(u: RadialField) -> bool:
+    """Whether more than 1e-8 of the mass of u lies in the outer 5% of the
+    domain, where the truncated domain stops emulating whole space."""
+    tail = slice(int(0.95 * u.grid.n), None)
+    return float(u.values[tail] @ u.grid.volumes[tail]) > 1e-8 * max(mass(u), 1e-300)
+
+
 def hypothesis_check(u0: RadialField, exps: Exponents) -> HypothesisReport:
+    """Check that initial data is finite (NonFiniteValue otherwise) and
+    measure what the dichotomy's hypotheses ask of it: mass, sup norm,
+    second moment and the L^2 norm of d_r(u^m).  Warns if the data already
+    reaches the outer 5% of the domain."""
     v = u0.values
     if not np.all(np.isfinite(v)):
         raise NonFiniteValue("initial data contains NaN or infinity")
-    m0 = mass(u0)
-    linf = lp_norm(u0, np.inf)
-    m2 = second_moment(u0)
     um = v**exps.m
     g = (um[1:] - um[:-1]) / u0.grid.dr
     rho = u0.grid.edges[1:-1]
     grad_l2 = float(np.sqrt(np.sum(g**2 * 4.0 * np.pi * rho**2 * u0.grid.dr)))
-    tail = v[int(0.95 * u0.grid.n):]
-    clear = bool(np.all(tail <= 1e-12 * max(linf, 1.0)))
+    clear = not _reaches_boundary(u0)
     if not clear:
         warnings.warn("initial support touches the outer 5% of the domain")
     return HypothesisReport(
-        mass=m0,
-        linf=linf,
-        second_moment=m2,
+        mass=mass(u0),
+        linf=lp_norm(u0, np.inf),
+        second_moment=second_moment(u0),
         grad_um_l2=grad_l2,
         support_clear_of_boundary=clear,
     )
@@ -247,9 +254,15 @@ def run(
     BlowupDetected when the sup norm crosses the trigger (or the step
     collapses while the sup norm is growing); Inconclusive otherwise.
     """
-    hypothesis_check(u0, exps)
-    linf0 = lp_norm(u0, np.inf)
-    trigger = cfg.blowup_factor * max(1.0, linf0)
+    rep = hypothesis_check(u0, exps)
+    warned_truncation = not rep.support_clear_of_boundary
+    trigger = cfg.blowup_factor * max(1.0, rep.linf)
+    # blow-up is only seen once the trigger's mass fits in the innermost shell
+    need = trigger * float(u0.grid.volumes[0])
+    if need > 0.8 * rep.mass > 0.0:
+        warnings.warn(f"grid too coarse for the blow-up trigger: it needs {need:.3g} mass "
+                      f"in the innermost shell, {rep.mass:.3g} available; refine the grid "
+                      "or lower blowup_factor")
 
     rows: list[tuple] = []
 
@@ -275,8 +288,6 @@ def run(
     nstep = 0
     dt = 0.0  # the last step taken
     record(u, t, dt)
-    warned_truncation = False
-    tail = slice(int(0.95 * u0.grid.n), None)  # the outer 5% of the domain
 
     while True:
         if t >= cfg.t_end:
@@ -292,7 +303,7 @@ def run(
             linf = lp_norm(u, np.inf)
             outcome = (
                 Outcome.BLOWUP_DETECTED
-                if linf > 1.5 * max(linf0, 1e-300)
+                if linf > 1.5 * max(rep.linf, 1e-300)
                 else Outcome.INCONCLUSIVE
             )
             t_detect = t if outcome is Outcome.BLOWUP_DETECTED else None
@@ -313,12 +324,10 @@ def run(
             break
         if nstep % cfg.record_every == 0:
             record(u, t, dt)
-        if not warned_truncation:
-            tail_mass = float(u.values[tail] @ u.grid.volumes[tail])
-            if tail_mass > 1e-8 * max(mass(u), 1e-300):
-                warnings.warn("mass reached the outer 5% of the domain; "
-                              "whole-space emulation degraded")
-                warned_truncation = True
+        if not warned_truncation and _reaches_boundary(u):
+            warnings.warn("mass reached the outer 5% of the domain; "
+                          "whole-space emulation degraded")
+            warned_truncation = True
 
     if rows[-1][0] < t:
         record(u, t, dt)
@@ -358,14 +367,3 @@ def trace_to_csv(trace: SimTrace, path) -> None:
     """Write the diagnostic series as CSV with header
     t,mass,lm,linf,F,m2,dissipation,dt at 14 significant digits."""
     _write_csv(path, ",".join(_COLUMNS), [getattr(trace, name) for name in _COLUMNS])
-
-
-def trace_footer(trace: SimTrace, meta: dict) -> dict:
-    """Outcome and metadata for the JSON sidecar accompanying a trace CSV."""
-    return {
-        "outcome": trace.outcome.value,
-        "t_detect": trace.t_detect,
-        "t_final": float(trace.t[-1]),
-        "records": int(len(trace.t)),
-        "meta": meta,
-    }

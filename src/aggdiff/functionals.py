@@ -19,8 +19,7 @@ maximizer x_star separates globally existing from blowing-up initial data.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,9 +55,6 @@ class EnergyReport:
     barrier: float
     vhls_quotient: float
     second_moment: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from aggdiff import (
     RadialGrid,
     SimConfig,
     Verdict,
+    agrees,
     barrier_check,
     barrier_g,
     build_kernel,
@@ -188,7 +189,9 @@ def test_criterion_09_dichotomy(exps, profile_n512, profile_n1024, thresholds_n5
     assert cls_lo.verdict is Verdict.GLOBAL_EXISTENCE
     assert tr_lo.outcome is Outcome.COMPLETED_BOUNDED
     assert np.max(tr_lo.linf) <= 2.0 * tr_lo.linf[0]
-    assert barrier_check(tr_lo, thr, exps).stayed_below
+    barrier_lo = barrier_check(tr_lo, thr, exps)
+    assert barrier_lo.stayed_below
+    assert agrees(cls_lo, tr_lo, barrier_lo)
     # blow-up side
     u_hi = wt.with_values(1.2 * wt.values)
     cls_hi = classify(u_hi, thr, exps, kernel)
@@ -196,7 +199,9 @@ def test_criterion_09_dichotomy(exps, profile_n512, profile_n1024, thresholds_n5
     assert cls_hi.verdict is Verdict.FINITE_TIME_BLOWUP
     assert tr_hi.outcome is Outcome.BLOWUP_DETECTED
     assert tr_hi.t_detect is not None and np.isfinite(tr_hi.t_detect)
-    assert barrier_check(tr_hi, thr, exps).stayed_above
+    barrier_hi = barrier_check(tr_hi, thr, exps)
+    assert barrier_hi.stayed_above
+    assert agrees(cls_hi, tr_hi, barrier_hi)
     # t_detect: finite, and trends consistently under refinement (numerical
     # observation, not a reproducible constant of the continuum problem)
     wt_fine = ag.threshold_profile(profile_n1024, exps)

@@ -1,15 +1,19 @@
 """Decision rule: amplitude families, the tolerance band, scale robustness,
-and the barrier monitor along recorded runs."""
+the barrier monitor along recorded runs, and the rule that matches a
+verdict with a run."""
 
-import json
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 import aggdiff as ag
 from aggdiff import (
+    BarrierReport,
     Outcome,
     SimConfig,
     Verdict,
+    agrees,
     barrier_check,
     classify,
     run,
@@ -116,13 +120,12 @@ class TestClassify:
         assert narrow.verdict is Verdict.FINITE_TIME_BLOWUP
         assert wide.verdict is Verdict.INDETERMINATE
 
-    def test_json_payload(self, exps, thresholds_n512, wt_padded):
+    def test_reads_energy_report(self, exps, thresholds_n512, wt_padded):
         wt, kernel = wt_padded
-        cls = classify(wt.with_values(0.8 * wt.values), thresholds_n512, exps, kernel)
-        payload = json.loads(cls.to_json())
-        assert set(payload) == {"verdict", "product", "x_star", "energy_lhs",
-                                "g_at_xstar", "margins"}
-        assert payload["verdict"] == "GlobalExistence"
+        u0 = wt.with_values(1.2 * wt.values)
+        cls = classify(u0, thresholds_n512, exps, kernel)
+        rep = ag.energy_report(u0, exps, kernel)
+        assert cls.product == rep.product and cls.energy_lhs == rep.barrier
 
 
 class TestBarrierCheck:
@@ -142,3 +145,30 @@ class TestBarrierCheck:
         rep = barrier_check(tr, thresholds_n512, exps)
         assert rep.stayed_above
         assert rep.min_ratio > 1.0
+
+
+# barrier sides: the product stayed below x_star, above it, or crossed it
+SIDES = {"below": np.array([0.5, 0.9]), "above": np.array([1.1, 1.5]),
+         "crossed": np.array([0.9, 1.1])}
+
+
+def _barrier(side: str) -> BarrierReport:
+    r = SIDES[side]
+    return BarrierReport(ratios=r, max_ratio=float(r.max()), min_ratio=float(r.min()),
+                         stayed_below=bool(np.all(r < 1.0)),
+                         stayed_above=bool(np.all(r > 1.0)))
+
+
+class TestAgrees:
+    @pytest.mark.parametrize("side", SIDES)
+    @pytest.mark.parametrize("outcome", list(Outcome))
+    @pytest.mark.parametrize("verdict", list(Verdict))
+    def test_table(self, verdict, outcome, side):
+        want = {
+            Verdict.GLOBAL_EXISTENCE: (Outcome.COMPLETED_BOUNDED, "below"),
+            Verdict.FINITE_TIME_BLOWUP: (Outcome.BLOWUP_DETECTED, "above"),
+        }.get(verdict)
+        expected = want is None or want == (outcome, side)
+        cls = SimpleNamespace(verdict=verdict)
+        trace = SimpleNamespace(outcome=outcome)
+        assert agrees(cls, trace, _barrier(side)) is expected

@@ -3,7 +3,10 @@ self-test report (including a corrupted kernel it must catch)."""
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,7 +24,8 @@ from aggdiff.cli import (
     main,
 )
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 # The CLI contract: the accepted config keys and the keys (in order) of the
 # JSON sidecars.
@@ -43,6 +47,11 @@ DICHOTOMY_KEYS = ["x_star", "g_at_xstar", "cstar", "rows", "timestamp"]
 DICHOTOMY_ROW_KEYS = ["kappa", "verdict", "outcome", "t_detect",
                       "product_over_x_star", "barrier_max_ratio",
                       "barrier_min_ratio", "consistent"]
+CLASSIFICATION_KEYS = ["verdict", "product", "x_star", "energy_lhs",
+                       "g_at_xstar", "margins"]
+CLASSIFICATION_MARGIN_KEYS = ["product", "energy"]
+TRACE_KEYS = ["outcome", "t_detect", "t_final", "records", "meta"]
+TRACE_META_KEYS = ["init", "kappa", "timestamp"]
 
 
 def write_cfg(path: Path, extra: str = "") -> Path:
@@ -268,7 +277,11 @@ class TestClassify:
         out = tmp_path / "out"
         assert main(["classify", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         payload = json.loads((out / "classification.json").read_text())
+        assert list(payload) == CLASSIFICATION_KEYS
+        assert list(payload["margins"]) == CLASSIFICATION_MARGIN_KEYS
         assert payload["verdict"] == verdict
+        assert payload["margins"]["product"] == \
+            (payload["x_star"] - payload["product"]) / payload["x_star"]
 
 
 class TestEvolve:
@@ -283,7 +296,11 @@ class TestEvolve:
         lines = (out / "trace.csv").read_text().splitlines()
         assert lines[0] == "t,mass,lm,linf,F,m2,dissipation,dt"
         footer = json.loads((out / "trace.json").read_text())
+        assert list(footer) == TRACE_KEYS
+        assert list(footer["meta"]) == TRACE_META_KEYS
         assert footer["outcome"] == "CompletedBounded"
+        assert footer["t_detect"] is None and footer["t_final"] == 0.05
+        assert footer["records"] == len(lines) - 1
         assert (out / "final_state.csv").exists()
 
 
@@ -325,6 +342,7 @@ class TestDichotomy:
         linf = [float(line.split(",")[3]) for line in body[1:]]
         assert 0.9 <= min(linf) / linf[0] and max(linf) / linf[0] <= 1.1
 
+    @pytest.mark.filterwarnings("error")  # n = 512 is fine enough for the trigger
     def test_default_sweep_consistent(self, tmp_path):
         cfg = write_cfg(
             tmp_path,
@@ -356,6 +374,24 @@ class TestDichotomy:
         assert main(["dichotomy", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         assert sorted(p.name for p in out.glob("trace_kappa_*.csv")) == [
             "trace_kappa_0.8.csv", "trace_kappa_0.8000001.csv"]
+
+
+class TestCoarseGridWarning:
+    @pytest.mark.parametrize("command", ["dichotomy", "evolve"])
+    def test_warns_on_stderr(self, tmp_path, command):
+        # grid.n = 384: the innermost shell of the padded threshold profile
+        # cannot hold the blow-up trigger's mass with room to spare
+        cfg = write_cfg(tmp_path, "init.kappa = 1.2\nexperiment.kappas = 1.2\n"
+                                  "sim.t_end = 0.01\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "aggdiff.cli", command, "--config", str(cfg),
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert "Traceback" not in proc.stderr
+        assert "grid too coarse for the blow-up trigger" in proc.stderr
 
 
 SELFTEST_NAMES = ["exponent_identities", "hls_bound", "scale_invariance",

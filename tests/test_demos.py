@@ -1,6 +1,7 @@
-"""Each narrative script under demos/ runs to completion.  The demos are the
-only callers of energy_report and EnergyReport.to_json, and the only ones to
-read a HypothesisReport, so an API change that breaks them fails here."""
+"""Each narrative script under demos/ runs to completion.  They call the
+public API the way a user would (demo 06 prints an EnergyReport as JSON and
+reads a HypothesisReport field by field), so an API change that breaks them
+fails here."""
 
 import os
 import subprocess

@@ -311,6 +311,7 @@ class TestRun:
 
 
 class TestBlowupDetection:
+    @pytest.mark.filterwarnings("error")  # n = 512 holds the trigger's mass
     def test_blowup_run(self, exps, wt_padded):
         wt, kernel = wt_padded
         u0 = wt.with_values(1.2 * wt.values)
@@ -344,6 +345,17 @@ class TestBlowupDetection:
         assert all(np.isfinite(t) for t in times)
         # finer grids detect no earlier than much-coarser ones in this family
         assert times[1] >= 0.8 * times[0]
+
+    def test_coarse_grid_warns(self, exps):
+        # at n = 384 the innermost shell of the padded profile cannot hold
+        # the trigger's mass with room to spare: focusing may stall below it
+        profile = ag.solve_extremal(exps, RadialGrid(384, 4.0))
+        wt = ag.threshold_profile(profile, exps)
+        wt = ag.pad_grid(wt, 8.0 * ag.support_radius(wt))
+        u0 = wt.with_values(1.2 * wt.values)
+        with pytest.warns(UserWarning, match="needs 251 mass in the innermost shell, "
+                                             "253 available"):
+            run(u0, SimConfig(t_end=1e-3), build_kernel(wt.grid, exps.lam), exps)
 
 
 class TestSteadyStatePersistence:
@@ -435,6 +447,16 @@ class TestHypothesisCheck:
             rep = hypothesis_check(u, exps)
         assert not rep.support_clear_of_boundary
         assert np.isfinite(rep.second_moment)
+
+    def test_run_warns_once(self, exps):
+        # data already in the outer 5%: the initial check warns, the time
+        # loop does not repeat it
+        grid = RadialGrid(256, 4.0)
+        u0 = field_from_function(grid, lambda r: 0.3 * np.exp(-((r / 2.0) ** 2)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(u0, SimConfig(t_end=0.01), build_kernel(grid, exps.lam), exps)
+        assert sum("outer 5%" in str(w.message) for w in caught) == 1
 
     def test_nan_rejected(self, exps, grid):
         vals = np.zeros(grid.n)

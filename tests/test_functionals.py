@@ -225,7 +225,8 @@ class TestEnergyReport:
         assert np.isclose(rep.free_energy, free_energy(gauss, exps, kernel), rtol=1e-14)
         assert rep.vhls_quotient == vhls_quotient(gauss, exps, kernel)
         assert rep.mass > 0 and rep.lm_norm > 0 and rep.second_moment > 0
-        payload = json.loads(rep.to_json())
+        # the report's JSON form is its dataclass dict (demo 06 prints it)
+        payload = json.loads(json.dumps(dataclasses.asdict(rep)))
         assert set(payload) == {
             "entropy_term", "interaction_term", "free_energy", "mass",
             "lm_norm", "product", "barrier", "vhls_quotient", "second_moment",
