@@ -2,6 +2,7 @@
 the barrier monitor along recorded runs, and the rule that matches a
 verdict with a run."""
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +19,7 @@ from aggdiff import (
     classify,
     run,
 )
+from aggdiff.cli import EXIT_OK, main
 
 
 class TestClassify:
@@ -126,6 +128,28 @@ class TestClassify:
         cls = classify(u0, thresholds_n512, exps, kernel)
         rep = ag.energy_report(u0, exps, kernel)
         assert cls.product == rep.product and cls.energy_lhs == rep.barrier
+
+    def test_json_payload(self, exps, thresholds_n512, wt_padded, tmp_path):
+        # the classify command's sidecar carries the library's Classification
+        # of the same data, float for float
+        wt, _ = wt_padded
+        csv = tmp_path / "u0.csv"
+        ag.field_to_csv(wt.with_values(0.8 * wt.values), csv)
+        u0 = ag.field_from_csv(csv)
+        cls = classify(u0, thresholds_n512, exps, ag.build_kernel(u0.grid, exps.lam))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"init.kind = csv\ninit.csv = {csv}\n")
+        assert main(["classify", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        payload = json.loads((tmp_path / "classification.json").read_text())
+        assert set(payload) == {"verdict", "product", "x_star", "energy_lhs",
+                                "g_at_xstar", "margins"}
+        assert payload["verdict"] == "GlobalExistence"
+        assert payload["verdict"] == cls.verdict.value
+        assert (payload["product"], payload["x_star"], payload["energy_lhs"],
+                payload["g_at_xstar"]) == (cls.product, cls.x_star,
+                                           cls.energy_lhs, cls.g_at_xstar)
+        assert payload["margins"] == {"product": cls.product_margin,
+                                      "energy": cls.energy_margin}
 
 
 class TestBarrierCheck:
