@@ -434,7 +434,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return _COMMANDS[command](cfg, out_override)
+        with warnings.catch_warnings():
+            # one line per warning, without its category and source location
+            warnings.showwarning = lambda message, *_, **__: print(
+                f"warning: {message}", file=sys.stderr)
+            return _COMMANDS[command](cfg, out_override)
     except RegimeError as exc:
         print(f"regime error: {exc}", file=sys.stderr)
         return EXIT_REGIME

@@ -39,7 +39,8 @@ points inward at the first of them (c is radially decreasing) no mass
 crosses it; otherwise the step solves the whole grid.  The cells outside
 stay exactly as they are, and a step of the zero field changes nothing.
 Blow-up is detected, not resolved: once the sup norm crosses blowup_factor
-* max(1, ||u0||_inf) the run stops and reports the detection time.
+* max(1, ||u0||_inf) the run stops and reports the detection time.  A run
+counts as focusing once the sup norm exceeds _FOCUSING * ||u0||_inf.
 """
 
 from __future__ import annotations
@@ -68,11 +69,14 @@ __all__ = [
     "trace_to_csv",
 ]
 
+# sup-norm growth over the initial data that marks a run as focusing
+_FOCUSING = 1.5
+
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Run controls: horizon, Courant factor, abort threshold for the time
-    step, sup-norm growth trigger, and diagnostic cadence (in steps).
+    """Run controls: horizon, Courant factor, sup-norm growth trigger, and
+    diagnostic cadence (in steps).
 
     The implicit step conserves mass and positivity for every dt, so cfl
     is an accuracy factor only: the step is dt = cfl * dr / (3 max |v_f|),
@@ -81,7 +85,6 @@ class SimConfig:
 
     t_end: float
     cfl: float = 0.05
-    dt_min: float = 1e-12
     blowup_factor: float = 1e3
     record_every: int = 100
 
@@ -90,8 +93,6 @@ class SimConfig:
             raise ValueError("t_end must be positive and finite")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("cfl must lie in (0, 1]")
-        if not 0.0 < self.dt_min < np.inf:
-            raise ValueError("dt_min must be positive and finite")
         if not self.blowup_factor > 1.0:
             raise ValueError("blowup_factor must exceed 1")
         if not self.record_every >= 1:
@@ -250,19 +251,19 @@ def run(
     """Integrate to t_end, the blow-up trigger, or time-step collapse.
 
     Records diagnostics every cfg.record_every steps (plus the initial and
-    final states).  Outcomes: CompletedBounded when t_end is reached;
-    BlowupDetected when the sup norm crosses the trigger (or the step
-    collapses while the sup norm is growing); Inconclusive otherwise.
+    final states).  The step collapses when it no longer advances t.
+    Outcomes: CompletedBounded when t_end is reached; BlowupDetected when
+    the sup norm crosses the trigger (or the step collapses while the run
+    is focusing); Inconclusive otherwise.  If the innermost shell cannot
+    hold the trigger's mass, run warns once the run starts focusing.
     """
     rep = hypothesis_check(u0, exps)
     warned_truncation = not rep.support_clear_of_boundary
     trigger = cfg.blowup_factor * max(1.0, rep.linf)
+    focusing = _FOCUSING * max(rep.linf, 1e-300)
     # blow-up is only seen once the trigger's mass fits in the innermost shell
     need = trigger * float(u0.grid.volumes[0])
-    if need > 0.8 * rep.mass > 0.0:
-        warnings.warn(f"grid too coarse for the blow-up trigger: it needs {need:.3g} mass "
-                      f"in the innermost shell, {rep.mass:.3g} available; refine the grid "
-                      "or lower blowup_factor")
+    too_coarse = need > 0.8 * rep.mass > 0.0
 
     rows: list[tuple] = []
 
@@ -298,15 +299,10 @@ def run(
         except NonFiniteValue:
             outcome = Outcome.INCONCLUSIVE
             break
-        if dt_rule < cfg.dt_min:
+        if t + dt_rule == t:
             # the step-size rule collapsed; growing sup norm means focusing
-            linf = lp_norm(u, np.inf)
-            outcome = (
-                Outcome.BLOWUP_DETECTED
-                if linf > 1.5 * max(rep.linf, 1e-300)
-                else Outcome.INCONCLUSIVE
-            )
-            t_detect = t if outcome is Outcome.BLOWUP_DETECTED else None
+            if lp_norm(u, np.inf) > focusing:
+                outcome, t_detect = Outcome.BLOWUP_DETECTED, t
             break
         if t + dt_rule > cfg.t_end:
             # retake the final step exactly to the horizon
@@ -322,6 +318,11 @@ def run(
             outcome = Outcome.BLOWUP_DETECTED
             t_detect = t
             break
+        if too_coarse and linf > focusing:
+            warnings.warn(f"grid too coarse for the blow-up trigger: it needs {need:.3g} mass "
+                          f"in the innermost shell, {rep.mass:.3g} available; refine the grid "
+                          "or lower blowup_factor")
+            too_coarse = False
         if nstep % cfg.record_every == 0:
             record(u, t, dt)
         if not warned_truncation and _reaches_boundary(u):

@@ -32,10 +32,9 @@ README = ROOT / "README.md"
 CONFIG_KEYS = {
     "params.d", "params.s", "params.m",
     "grid.n", "grid.r_max",
-    "extremal.tol_j", "extremal.tol_res", "extremal.max_iter",
-    "extremal.damping", "extremal.init",
-    "sim.t_end", "sim.cfl", "sim.dt_min", "sim.blowup_factor",
-    "sim.record_every",
+    "extremal.tol_res", "extremal.max_iter", "extremal.damping",
+    "extremal.init",
+    "sim.t_end", "sim.cfl", "sim.blowup_factor", "sim.record_every",
     "experiment.kappas",
     "init.kind", "init.kappa", "init.amplitude", "init.width", "init.csv",
     "out.dir", "seed", "selftest.n",
@@ -109,7 +108,6 @@ class TestConfig:
         [
             "sim.cfl = 2",
             "sim.t_end = 0",
-            "sim.dt_min = 0",
             "sim.blowup_factor = 1",
             "sim.record_every = 0",
             "grid.n = 1",
@@ -122,13 +120,14 @@ class TestConfig:
             "experiment.kappas =",
             "init.kind = csv",
             "sim.t_end = inf",
-            "sim.dt_min = inf",
             "experiment.kappas = -0.5,1.2",
             "experiment.kappas = 0.8,nan",
             "init.kappa = -1",
             "init.width = 0",
             "init.amplitude = -1",
             "selftest.corrupt_kernel = ture",  # a removed key
+            "extremal.tol_j = 1e-10",  # a removed key, at its old default
+            "sim.dt_min = 1e-12",  # a removed key, at its old default
             "params.d = 4\nparams.s = 1.5",  # a valid regime triple, but not d = 3
             "seed = -1",
         ],
@@ -380,9 +379,10 @@ class TestCoarseGridWarning:
     @pytest.mark.parametrize("command", ["dichotomy", "evolve"])
     def test_warns_on_stderr(self, tmp_path, command):
         # grid.n = 384: the innermost shell of the padded threshold profile
-        # cannot hold the blow-up trigger's mass with room to spare
+        # cannot hold the blow-up trigger's mass with room to spare, which
+        # run reports once the sup norm starts to grow (t ~ 4)
         cfg = write_cfg(tmp_path, "init.kappa = 1.2\nexperiment.kappas = 1.2\n"
-                                  "sim.t_end = 0.01\n")
+                                  "sim.t_end = 5\n")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
@@ -391,7 +391,10 @@ class TestCoarseGridWarning:
              "--out", str(tmp_path / "out")],
             env=env, capture_output=True, text=True, timeout=300)
         assert "Traceback" not in proc.stderr
-        assert "grid too coarse for the blow-up trigger" in proc.stderr
+        assert "warning: grid too coarse for the blow-up trigger" in proc.stderr
+        # one line per warning: no category, location or source echo
+        assert "UserWarning" not in proc.stderr
+        assert "warnings.warn(" not in proc.stderr
 
 
 SELFTEST_NAMES = ["exponent_identities", "hls_bound", "scale_invariance",

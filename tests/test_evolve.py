@@ -86,7 +86,6 @@ class TestSimConfig:
             {"t_end": 0.0},
             {"t_end": 1.0, "cfl": 0.0},
             {"t_end": 1.0, "cfl": 1.5},
-            {"t_end": 1.0, "dt_min": 0.0},
             {"t_end": 1.0, "blowup_factor": 1.0},
             {"t_end": 1.0, "record_every": 0},
         ],
@@ -289,14 +288,39 @@ class TestRun:
         tr = run(u0, SimConfig(t_end=0.1, record_every=7), kernel, exps)
         assert np.all(np.diff(tr.t) > 0)
 
-    def test_dt_collapse_without_growth_is_inconclusive(self, exps, grid, kernel):
-        # force the abort threshold above any stable step: the run must stop
-        # immediately and, with no sup-norm growth, report Inconclusive
+    @staticmethod
+    def fake_step(monkeypatch, results):
+        """Make run's steps return the given (factor, dt) in turn: the field
+        passed in scaled by factor, and dt as the step taken."""
+        results = iter(results)
+
+        def fake(u, kernel, exps, cfg, dt=None):
+            factor, dt_taken = next(results)
+            return u.with_values(factor * u.values), dt_taken
+
+        monkeypatch.setattr("aggdiff.evolve.step", fake)
+
+    def test_collapsed_step_without_growth_is_inconclusive(self, exps, grid, kernel,
+                                                           monkeypatch):
+        # a step that no longer advances t stops the run; with no sup-norm
+        # growth it is Inconclusive
+        self.fake_step(monkeypatch, [(1.0, 0.0)])
         u0 = field_from_function(grid, lambda r: 0.3 * np.exp(-(r**2)))
-        tr = run(u0, SimConfig(t_end=1.0, dt_min=10.0), kernel, exps)
+        tr = run(u0, SimConfig(t_end=1.0), kernel, exps)
         assert tr.outcome is Outcome.INCONCLUSIVE
         assert tr.t_detect is None
-        assert tr.t[-1] < 1e-6
+        assert tr.t[-1] == 0.0
+
+    def test_collapsed_step_after_growth_is_blowup(self, exps, grid, kernel,
+                                                   monkeypatch):
+        # the sup norm doubled before the step collapsed: the run is focusing
+        # and reports blow-up at the time it stopped
+        self.fake_step(monkeypatch, [(2.0, 1e-3), (1.0, 0.0)])
+        u0 = field_from_function(grid, lambda r: 0.3 * np.exp(-(r**2)))
+        tr = run(u0, SimConfig(t_end=1.0), kernel, exps)
+        assert tr.outcome is Outcome.BLOWUP_DETECTED
+        assert tr.t_detect == 1e-3
+        assert tr.linf[-1] == 2.0 * tr.linf[0]
 
     def test_moment_lower_bound_for_supnorm(self, exps, grid, kernel):
         # ||u||_inf >= ||u||_1^{(d+2)/2} / (c m2^{d/2}), calibrated once at
@@ -346,16 +370,32 @@ class TestBlowupDetection:
         # finer grids detect no earlier than much-coarser ones in this family
         assert times[1] >= 0.8 * times[0]
 
-    def test_coarse_grid_warns(self, exps):
-        # at n = 384 the innermost shell of the padded profile cannot hold
-        # the trigger's mass with room to spare: focusing may stall below it
+    @pytest.fixture(scope="class")
+    def wt_n384(self, exps):
+        """The padded threshold profile from an n = 384 solve, whose innermost
+        shell cannot hold the trigger's mass with room to spare."""
         profile = ag.solve_extremal(exps, RadialGrid(384, 4.0))
         wt = ag.threshold_profile(profile, exps)
         wt = ag.pad_grid(wt, 8.0 * ag.support_radius(wt))
+        return wt, build_kernel(wt.grid, exps.lam)
+
+    def test_coarse_grid_warns(self, exps, wt_n384):
+        # focusing may stall below the trigger: run warns once the sup norm
+        # has grown by half (t ~ 4)
+        wt, kernel = wt_n384
         u0 = wt.with_values(1.2 * wt.values)
         with pytest.warns(UserWarning, match="needs 251 mass in the innermost shell, "
                                              "253 available"):
-            run(u0, SimConfig(t_end=1e-3), build_kernel(wt.grid, exps.lam), exps)
+            run(u0, SimConfig(t_end=5.0), kernel, exps)
+
+    @pytest.mark.filterwarnings("error")
+    def test_coarse_grid_quiet_while_spreading(self, exps, wt_n384):
+        # the same grid below the threshold: the sup norm never grows, so the
+        # trigger's mass never matters and run does not warn
+        wt, kernel = wt_n384
+        u0 = wt.with_values(0.8 * wt.values)
+        tr = run(u0, SimConfig(t_end=50.0), kernel, exps)
+        assert tr.outcome is Outcome.COMPLETED_BOUNDED
 
 
 class TestSteadyStatePersistence:
