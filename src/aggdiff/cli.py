@@ -366,7 +366,7 @@ def _selftest_checks(cfg: RunConfig):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # wide tails may brush the domain
             return run(random_density(grid, rng),
-                       SimConfig(t_end=1e-3, cfl=0.4, record_every=5), kernel, exps)
+                       SimConfig(t_end=1e-3, record_every=5), kernel, exps)
 
     return {
         "exponent_identities": (lambda: exponent_identity_defect(triples, 200), 1e-14),

@@ -20,6 +20,7 @@ so the outward flux at the new time level is
 At the current state F_f is the explicit upwind flux u_k v_f, so the
 semi-discrete scheme, its steady states and mu as the exact variational
 derivative of the discrete free energy are those of the explicit scheme.
+functionals._face_system builds this system for `step` and the diagnostics.
 No flux crosses r = 0 (zero face area) or r = r_max.
 
 A sweep S(u, dt) solves V u_new + dt (flux differences) = V u: a
@@ -57,7 +58,7 @@ import numpy as np
 
 from .errors import NonFiniteValue, UnsupportedDimension
 from .field import RadialField, _write_csv, lp_norm, mass, second_moment
-from .functionals import _face_velocities, _upwind_flux, dissipation, free_energy
+from .functionals import _face_system, _upwind_flux, dissipation, free_energy
 from .params import Exponents
 from .riesz import ReducedKernel
 
@@ -138,32 +139,16 @@ class SimTrace:
 _COLUMNS = tuple(f.name for f in fields(SimTrace) if f.type == "np.ndarray")
 
 
-def _operator(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> tuple:
-    """The system of a sweep frozen at u, for any dt: max |v_f| over faces
-    next to mass, and inner_f = (D_f + a_f [v_f > 0]) dr and outer_f =
-    inner_f - a_f dr, with F_f dr = inner_f u_(f-1) - outer_f u_f at faces 1..w-1."""
-    v = u.values
-    extent, p, dp, dc, vel, outward = _face_velocities(u, exps, kernel)
-    # cells f-1 and f meet at face f
-    left, right = v[: len(p) - 1], v[1 : len(p)]
-    du = right - left
-    # D_f dr, the frozen secant mobility; between equal cells it is
-    # u p'(u) = (m-1) p(u), which is 0 between empty ones
-    mobility = np.divide(np.where(outward, left, right) * dp, du,
-                         out=(exps.m - 1.0) * p[1:], where=du != 0.0)
-    inner = mobility + np.where(outward, dc, 0.0)
-    return float(np.max(np.abs(vel[:extent]), initial=0.0)), inner, inner - dc
-
-
 def _sweep(u: RadialField, op: tuple, dt: float) -> np.ndarray:
     """S(u, dt): the values after one first-order step of size dt, with op
-    the system frozen at u (see _operator), by a Thomas sweep.  No pivoting:
-    the matrix is a column diagonally dominant M-matrix, whose pivots stay
-    positive.  With nonpositive off-diagonals and a nonnegative right-hand
-    side every update adds nonnegative terms, so the solution comes out
-    nonnegative.  The recurrence is sequential, so it runs on Python floats."""
+    the system frozen at u (functionals._face_system), by a Thomas sweep.
+    No pivoting: the matrix is a column diagonally dominant M-matrix, whose
+    pivots stay positive.  With nonpositive off-diagonals and a nonnegative
+    right-hand side every update adds nonnegative terms, so the solution
+    comes out nonnegative.  The recurrence is sequential, so it runs on
+    Python floats."""
     grid, v = u.grid, u.values
-    _, inner, outer = op
+    _, _, inner, outer = op
     w = len(inner) + 1
     # dt area_f F_f = upper_f u_f - lower_f u_(f-1); lower_f and
     # upper_f <= 0 are the off-diagonals of rows f and f-1
@@ -199,14 +184,14 @@ def step(
     if exps.d != 3:
         raise UnsupportedDimension("the spherical-shell scheme requires d = 3")
     grid = u.grid
-    op = _operator(u, exps, kernel)
+    op = _face_system(u, exps, kernel)
     if op[0] == 0.0:
         # no face next to mass (if any) moves it: u solves the system for any dt
         return RadialField(grid, u.values), float(np.inf if dt is None else dt)
     if dt is None:
         dt = cfg.cfl * grid.dr / (3.0 * op[0])
     half = RadialField(grid, _sweep(u, op, 0.5 * dt))
-    two = _sweep(half, _operator(half, exps, kernel), 0.5 * dt)
+    two = _sweep(half, _face_system(half, exps, kernel), 0.5 * dt)
     new = 2.0 * two - _sweep(u, op, dt)
     if not np.all(np.isfinite(new)):
         raise NonFiniteValue("non-finite value produced by time step")

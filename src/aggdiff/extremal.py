@@ -49,24 +49,23 @@ __all__ = [
 ]
 
 _SUPPORT_CUTOFF = 1e-12
+# the weight of the raw update in each damped fixed-point step
+_DAMPING = 0.5
 
 
 @dataclass(frozen=True)
 class ExtremalOptions:
-    """Solver knobs: the stationarity residual at which the solve stops, the
-    iteration budget, and the fixed damping weight."""
+    """Solver knobs: the stationarity residual at which the solve stops and
+    the iteration budget."""
 
     tol_res: float = 1e-4
     max_iter: int = 800
-    damping: float = 0.5
 
     def __post_init__(self):
-        if not self.tol_res > 0:
-            raise ValueError("tol_res must be positive")
+        if not 0.0 < self.tol_res < np.inf:
+            raise ValueError("tol_res must be positive and finite")
         if not self.max_iter >= 1:
             raise ValueError("max_iter must be at least 1")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -172,7 +171,7 @@ def solve_extremal(
 
         raw = np.maximum(2.0 * phi - exps.a0 * c_k, 0.0) / (exps.b0 * c_k)
         w_hat = raw ** (1.0 / (exps.m - 1.0))
-        mixed = (1.0 - opts.damping) * w.values + opts.damping * w_hat
+        mixed = (1.0 - _DAMPING) * w.values + _DAMPING * w_hat
         trial, _, _ = normalize_both_norms(RadialField(w.grid, mixed), exps)
         phi_new, c_new = _phi_and_h(trial, kernel)
         if c_new < c_k * (1.0 - 1e-12):

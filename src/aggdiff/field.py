@@ -66,8 +66,8 @@ class RadialGrid:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("grid needs at least 2 cells")
-        if not self.r_max > 0:
-            raise ValueError("r_max must be positive")
+        if not 0.0 < self.r_max < np.inf:
+            raise ValueError("r_max must be positive and finite")
 
     @property
     def dr(self) -> float:

@@ -112,15 +112,15 @@ def _chemical_potential_parts(
     return pressure, c
 
 
-def _face_velocities(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> tuple:
-    """The support extent of u; on the window [0, w) of cells that a step
-    solves, the pressure p = m/(m-1) u^(m-1); at the faces 1..w-1 between
-    them, the differences dp of p and dc of the attraction potential c, the
-    velocity v_f = -d_r mu = (dc - dp) / dr, and whether the upwind cell k_f
-    is the inner cell f-1 (v_f > 0) or the outer cell f.  The window ends
-    one cell past the support (see module evolve), and the time step and
-    the upwind flux take their velocities and upwind cells from here."""
-    n, extent = u.grid.n, _support_extent(u.values)
+def _face_system(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> tuple:
+    """The upwind face system of u (module evolve), frozen for any dt, on
+    the window [0, w) of cells a step solves, one past the support.  At its
+    faces 1..w-1, v_f = -d_r mu = (dc - dp) / dr picks the upwind cell k_f
+    (f-1 if v_f > 0), inner_f = (D_f + a_f [v_f > 0]) dr and outer_f =
+    inner_f - a_f dr, so that the face flux F_f = A_f (inner_f u_(f-1) -
+    outer_f u_f) / dr is A_f u_k v_f at u.  Returns max |v_f| over the faces
+    next to mass, v_f, inner and outer."""
+    n, v, extent = u.grid.n, u.values, _support_extent(u.values)
     w = min(extent + 1, n)
     p, c = _chemical_potential_parts(u, exps, kernel, rows=min(w + 1, n), extent=extent)
     if w < n and c[w] > c[w - 1]:
@@ -130,18 +130,25 @@ def _face_velocities(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> 
         p, c = _chemical_potential_parts(u, exps, kernel, rows=n, extent=extent)
     dp, dc = p[1:w] - p[: w - 1], c[1:w] - c[: w - 1]
     vel = (dc - dp) / u.grid.dr
-    return extent, p[:w], dp, dc, vel, vel > 0.0
+    outward = vel > 0.0
+    left, right = v[: w - 1], v[1:w]  # cells f-1 and f meet at face f
+    du = right - left
+    # between equal cells D_f dr is u p'(u) = (m-1) p(u), 0 between empty ones
+    mobility = np.divide(np.where(outward, left, right) * dp, du,
+                         out=(exps.m - 1.0) * p[1:w], where=du != 0.0)
+    inner = mobility + np.where(outward, dc, 0.0)
+    return float(np.max(np.abs(vel[:extent]), initial=0.0)), vel, inner, inner - dc
 
 
 def _upwind_flux(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> tuple:
-    """The semi-discrete upwind flux F_f = A_f u_(k_f) v_f out through the
-    faces 0..w of the window [0, w), and v_f at its faces 1..w-1.  Every
-    other face carries an exact zero flux: both its cells are empty, or it
-    is r = 0 (zero area) or r = r_max."""
-    _, p, _, _, vel, outward = _face_velocities(u, exps, kernel)
-    w, v = len(p), u.values
+    """The upwind face flux F_f of _face_system out through the faces 0..w
+    of the window [0, w), and v_f at its faces 1..w-1.  Every other face
+    carries an exact zero flux: both its cells are empty, or it is r = 0
+    (zero area) or r = r_max."""
+    _, vel, inner, outer = _face_system(u, exps, kernel)
+    w, v = len(vel) + 1, u.values
     flux = np.zeros(w + 1)
-    flux[1:w] = u.grid.face_areas[1:w] * np.where(outward, v[: w - 1], v[1:w]) * vel
+    flux[1:w] = u.grid.face_areas[1:w] * (inner * v[: w - 1] - outer * v[1:w]) / u.grid.dr
     return flux, vel
 
 
@@ -176,9 +183,10 @@ def xstar_threshold(exps: Exponents, cstar: float) -> Thresholds:
 
 def dissipation(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> float:
     """The scheme's own dissipation D_h = sum_f F_f v_f dr, with F_f = A_f
-    u_(k_f) v_f the upwind face flux.  mu is the exact variational derivative
-    of the discrete free energy, so the semi-discrete flow (the rate of `step`
-    as dt -> 0) has dF/dt = -D_h exactly.  Nonnegative; 0 at steady states."""
+    u_(k_f) v_f the upwind face flux of _face_system, the one `step` solves.
+    mu is the exact variational derivative of the discrete free energy, so
+    the semi-discrete flow (the rate of `step` as dt -> 0) has dF/dt = -D_h
+    exactly.  Nonnegative; 0 at steady states."""
     flux, vel = _upwind_flux(u, exps, kernel)
     return float(flux[1:-1] @ vel) * u.grid.dr
 

@@ -80,14 +80,13 @@ class ReducedKernel:
     def __post_init__(self):
         self.pot.flags.writeable = False
         self.frc.flags.writeable = False
-        pot, volumes = self.pot, self.grid.volumes
-        n = len(volumes)
-        sym = np.empty((n, n))
-        # block rows, so no n x n temporary exists beside pot and sym
-        for lo in range(0, n, _CHUNK):
-            hi = min(lo + _CHUNK, n)
-            mirror = pot[:, lo:hi].T * volumes / volumes[lo:hi, None]
-            sym[lo:hi] = 0.5 * (pot[lo:hi] + mirror)
+        volumes = self.grid.volumes
+        # in place, so no n x n temporary exists beside pot and sym; row-major,
+        # since an F-ordered sym rounds sym[:rows, :extent] @ u differently
+        sym = np.multiply(self.pot.T, volumes, order="C")
+        sym /= volumes[:, None]
+        sym += self.pot
+        sym *= 0.5
         sym.flags.writeable = False
         object.__setattr__(self, "sym", sym)
 

@@ -32,8 +32,7 @@ README = ROOT / "README.md"
 CONFIG_KEYS = {
     "params.d", "params.s", "params.m",
     "grid.n", "grid.r_max",
-    "extremal.tol_res", "extremal.max_iter", "extremal.damping",
-    "extremal.init",
+    "extremal.tol_res", "extremal.max_iter", "extremal.init",
     "sim.t_end", "sim.cfl", "sim.blowup_factor", "sim.record_every",
     "experiment.kappas",
     "init.kind", "init.kappa", "init.amplitude", "init.width", "init.csv",
@@ -112,11 +111,13 @@ class TestConfig:
             "sim.record_every = 0",
             "grid.n = 1",
             "grid.r_max = 0",
+            "grid.r_max = inf",
             "selftest.n = 1",
             "init.kind = nope",
             "extremal.init = nope",
-            "extremal.damping = 0",
+            "extremal.damping = 0",  # a removed key: the damping weight is fixed
             "extremal.max_iter = 0",
+            "extremal.tol_res = inf",
             "experiment.kappas =",
             "init.kind = csv",
             "sim.t_end = inf",

@@ -25,7 +25,8 @@ from aggdiff import (
     step,
     virial_check,
 )
-from aggdiff.evolve import _ROUNDOFF, _operator, _sweep
+from aggdiff.evolve import _ROUNDOFF, _sweep
+from aggdiff.functionals import _face_system
 from aggdiff.testing import mass_drift
 
 M_EXP = 1.2
@@ -73,7 +74,7 @@ def dense_step(u, kernel, exps, cfg, dt=None):
 
 def sweep(u, kernel, exps, dt):
     """The first-order step S(u, dt) that `step` extrapolates."""
-    return _sweep(u, _operator(u, exps, kernel), dt)
+    return _sweep(u, _face_system(u, exps, kernel), dt)
 
 
 def extrapolation(u, kernel, exps, dt):

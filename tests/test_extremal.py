@@ -137,8 +137,8 @@ class TestSolve:
         "kwargs",
         [
             {"max_iter": 0},
-            {"damping": 0.0},
-            {"damping": 1.5},
+            {"tol_res": np.inf},
+            {"tol_res": np.nan},
             {"tol_res": 0.0},
         ],
     )

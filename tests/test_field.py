@@ -44,6 +44,11 @@ class TestGrid:
         g = RadialGrid(64, 2.0)
         assert abs(g.moment_weights.sum() - 4.0 * np.pi / 5.0 * 2.0**5) <= 1e-12
 
+    @pytest.mark.parametrize("r_max", [0.0, np.inf, np.nan])
+    def test_r_max_positive_and_finite(self, r_max):
+        with pytest.raises(ValueError, match="r_max"):
+            RadialGrid(8, r_max)
+
 
 class TestMass:
     def test_zero_field(self):

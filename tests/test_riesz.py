@@ -96,6 +96,13 @@ class TestBuild:
         # is (S_sym u)/V with S_sym = (S + S.T)/2
         assert kernel_symmetry_defect(kernel1024, np.random.default_rng(1)) <= 1e-13
 
+    def test_operator_layout(self, grid1024, kernel1024):
+        # sym is 0.5 (pot_ij + pot_ji V_j / V_i), evaluated in that order, and
+        # row-major: the windowed products slice its rows and leading columns
+        V, pot, sym = grid1024.volumes, kernel1024.pot, kernel1024.sym
+        assert sym.flags.c_contiguous and not sym.flags.writeable
+        np.testing.assert_array_equal(sym, 0.5 * (pot + pot.T * V / V[:, None]))
+
     def test_delta_bump_at_origin_value(self):
         # concentrated shell at r0 with mass M: potential at 0 -> M / r0^lam
         grid = RadialGrid(2048, 4.0)
