@@ -197,8 +197,14 @@ def resample_to(u: RadialField, grid: RadialGrid) -> RadialField:
 def pad_grid(u: RadialField, r_max_new: float) -> RadialField:
     """Extend the domain to at least r_max_new by appending zero cells.
 
-    The cell width is kept, so existing values are untouched and every
-    discrete functional of u is preserved exactly.
+    Existing values are copied unchanged and the cell width is kept up to
+    roundoff: the new grid re-derives dr and its edges from n_new * dr, so
+    dr may differ in its last bits and the old outer edge r_max move by a
+    few ulps.  Each of the first n shell volumes agrees with the old one to
+    a relative 4 n eps (n the old cell count; the difference of cubes in a
+    volume amplifies an edge's shift by up to the cell index), and so do
+    mass, norms and moments, which are sums over those volumes.  For a field
+    spread over its grid, mass agrees far closer, to about 1e-14 relative.
     """
     if r_max_new <= u.grid.r_max:
         return u

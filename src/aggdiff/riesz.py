@@ -22,11 +22,24 @@ through Hankel (index i + j) and Toeplitz (index j - i) views, instead of
 O(n^2) pow calls.  The physical tables are the unit ones times dr^(3 - lam)
 (potential) and dr^(2 - lam) (force), so the homogeneity law used for
 rescaled grids holds exactly.
+
+The three n x n fills (pot, frc and the derived sym) go through one row
+splitter: a table of at least 2 * _ROW_FLOOR rows is cut into contiguous row
+blocks, one per usable CPU, each filled on its own thread while numpy's
+ufunc loops release the interpreter lock; smaller tables are filled on the
+calling thread.  Each block walks its rows in chunks of _CHUNK, so that its
+two chunk buffers stay in a core's L2 cache.  Every element gets the same
+elementwise operations in the same order however the rows are split, so the
+tables are bit-identical for any number of blocks.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass, field as dataclass_field
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -44,7 +57,50 @@ __all__ = [
     "interaction",
 ]
 
-_CHUNK = 256
+# rows per chunk: two (32, n + 1) float buffers are 0.6 MB at n = 1140 and
+# 1 MB at n = 2048, inside a 2 MB L2
+_CHUNK = 32
+# fewest rows per thread: on a 2-core host two 256-row blocks at n = 512
+# gained nothing, two 570-row blocks at n = 1140 about 1.5x
+_ROW_FLOOR = 512
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the platform
+    has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _split_rows(n: int, fill: Callable[[int, int], None]) -> None:
+    """Call fill(lo, hi) on contiguous row blocks covering [0, n): one block
+    per usable CPU but none under _ROW_FLOOR rows.  The calling thread fills
+    the first block and a new thread each of the others, in a copy of the
+    caller's context (numpy's errstate lives there).  Returns once every
+    block is done; the first exception raised in any block is re-raised
+    here, after all of them have finished."""
+    parts = max(1, min(_usable_cpus(), n // _ROW_FLOOR))
+    bounds = [n * k // parts for k in range(parts + 1)]
+    errors = []
+
+    def run(lo, hi):
+        try:
+            fill(lo, hi)
+        except BaseException as exc:  # re-raised in the caller below
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(run, lo, hi))
+        for lo, hi in zip(bounds[1:-1], bounds[2:])
+    ]
+    for thread in threads:
+        thread.start()
+    run(bounds[0], bounds[1])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _support_extent(values: np.ndarray) -> int:
@@ -80,13 +136,21 @@ class ReducedKernel:
     def __post_init__(self):
         self.pot.flags.writeable = False
         self.frc.flags.writeable = False
-        volumes = self.grid.volumes
+        pot, volumes = self.pot, self.grid.volumes
         # in place, so no n x n temporary exists beside pot and sym; row-major,
         # since an F-ordered sym rounds sym[:rows, :extent] @ u differently
-        sym = np.multiply(self.pot.T, volumes, order="C")
-        sym /= volumes[:, None]
-        sym += self.pot
-        sym *= 0.5
+        sym = np.empty(pot.shape)
+
+        def fill(lo, hi):
+            for c in range(lo, hi, _CHUNK):
+                d = min(c + _CHUNK, hi)
+                rows = sym[c:d]
+                np.multiply(pot.T[c:d], volumes, out=rows)
+                rows /= volumes[c:d, None]
+                rows += pot[c:d]
+                rows *= 0.5
+
+        _split_rows(len(sym), fill)
         sym.flags.writeable = False
         object.__setattr__(self, "sym", sym)
 
@@ -168,17 +232,21 @@ def _pot_table(n: int, t: float, coef: float) -> np.ndarray:
     a_h, a_t = _hankel_toeplitz(a, np.concatenate((a[n - 1::-1], a[:n])), n)
     b_h, bs_t = _hankel_toeplitz(b, np.concatenate((-b[n - 1::-1], b[:n])), n)
     pot = np.empty((n, n))
-    buf = np.empty((2, min(_CHUNK, n), n + 1))
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        F, Y = buf[:, : hi - lo]
-        rho = h[lo:hi, None]
-        np.subtract(a_h[lo:hi], a_t[lo:hi], out=F)
-        np.add(b_h[lo:hi], bs_t[lo:hi], out=Y)
-        Y *= rho
-        F -= Y
-        np.subtract(F[:, 1:], F[:, :-1], out=pot[lo:hi])
-        pot[lo:hi] *= coef / rho
+
+    def fill(lo, hi):
+        buf = np.empty((2, min(_CHUNK, hi - lo), n + 1))
+        for c in range(lo, hi, _CHUNK):
+            d = min(c + _CHUNK, hi)
+            F, Y = buf[:, : d - c]
+            rho = h[c:d, None]
+            np.subtract(a_h[c:d], a_t[c:d], out=F)
+            np.add(b_h[c:d], bs_t[c:d], out=Y)
+            Y *= rho
+            F -= Y
+            np.subtract(F[:, 1:], F[:, :-1], out=pot[c:d])
+            pot[c:d] *= coef / rho
+
+    _split_rows(n, fill)
     return pot
 
 
@@ -202,21 +270,25 @@ def _frc_table(n: int, t: float, coef: float) -> np.ndarray:
     g2_h, g2_t = _hankel_toeplitz(g2[1:], np.concatenate((g2[n:0:-1], g2[:n])), n)
     frc = np.empty((n + 1, n))
     frc[0] = 0.0
-    buf = np.empty((2, min(_CHUNK, n), n + 1))
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        H, Y = buf[:, : hi - lo]
-        f = g[lo + 1 : hi + 1, None]
-        np.add(g1_h[lo:hi], sg1_t[lo:hi], out=H)
-        np.subtract(g0_h[lo:hi], g0_t[lo:hi], out=Y)
-        Y *= f
-        H -= Y
-        np.subtract(g2_h[lo:hi], g2_t[lo:hi], out=Y)
-        Y /= f
-        H -= Y
-        rows = frc[lo + 1 : hi + 1]
-        np.subtract(H[:, 1:], H[:, :-1], out=rows)
-        rows *= coef / f
+
+    def fill(lo, hi):
+        buf = np.empty((2, min(_CHUNK, hi - lo), n + 1))
+        for c in range(lo, hi, _CHUNK):
+            d = min(c + _CHUNK, hi)
+            H, Y = buf[:, : d - c]
+            f = g[c + 1 : d + 1, None]
+            np.add(g1_h[c:d], sg1_t[c:d], out=H)
+            np.subtract(g0_h[c:d], g0_t[c:d], out=Y)
+            Y *= f
+            H -= Y
+            np.subtract(g2_h[c:d], g2_t[c:d], out=Y)
+            Y /= f
+            H -= Y
+            rows = frc[c + 1 : d + 1]
+            np.subtract(H[:, 1:], H[:, :-1], out=rows)
+            rows *= coef / f
+
+    _split_rows(n, fill)
     return frc
 
 
@@ -230,6 +302,12 @@ def build_kernel(grid: RadialGrid, lam: float) -> ReducedKernel:
     differenced between neighbouring edges.  The unit tables are scaled by
     dr^(3 - lam) and dr^(2 - lam), so the homogeneity law of _scale_factor
     holds exactly between grids of equal n.
+
+    From n = 2 * _ROW_FLOOR (1024) rows on, each table is filled in row
+    blocks on one thread per usable CPU (the process's affinity mask), with
+    no setting; smaller tables are filled on the calling thread.  The tables
+    are bit-identical for any number of blocks, and an exception in any
+    block is raised here.
 
     The tables are for d = 3 (the angular reduction of the module docstring
     is specific to it); the kernel power must satisfy 0 < lam < 1.

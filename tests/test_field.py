@@ -253,6 +253,22 @@ class TestPadGrid:
         assert lp_norm(v, 2.0) == lp_norm(u, 2.0)
         assert second_moment(v) == second_moment(u)
 
+    def test_roundoff_bound(self):
+        # the new grid re-derives dr and the edges from n_new * dr, so they
+        # can move by a few ulps; the volumes and mass move with them
+        rng = np.random.default_rng(2024)
+        eps = np.finfo(float).eps
+        for _ in range(200):
+            n = int(rng.integers(2, 1025))
+            r_max = float(10.0 ** rng.uniform(-1.0, 2.0))
+            u = field_from_values(RadialGrid(n, r_max), rng.random(n))
+            v = ag.pad_grid(u, r_max * rng.uniform(1.01, 10.0))
+            np.testing.assert_array_equal(v.values[:n], u.values)
+            np.testing.assert_allclose(
+                v.grid.volumes[:n], u.grid.volumes, rtol=4 * n * eps, atol=0.0
+            )
+            assert abs(mass(v) - mass(u)) <= 1e-14 * mass(u)
+
     def test_noop_when_already_large(self):
         u = gaussian_field(n=128, r_max=5.0)
         assert ag.pad_grid(u, 4.0) is u

@@ -24,6 +24,7 @@ from aggdiff import (
     rearrange_decreasing,
     scale_field,
 )
+from aggdiff import riesz
 from aggdiff.riesz import _pot_rows_exact, _shell_integral
 from aggdiff.testing import (
     kernel_symmetry_defect,
@@ -116,6 +117,67 @@ class TestBuild:
         assert abs(val - M / r0**LAM) <= 1e-3 * M / r0**LAM
 
 
+class TestRowBlocks:
+    """The tables are filled in row blocks on threads; any split gives
+    bit-identical tables, and a failure in any block reaches the caller."""
+
+    @staticmethod
+    def assert_tables_equal(a, b):
+        for name in ("pot", "frc", "sym"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+    @pytest.mark.parametrize("n", [1023, 1024, 1025, 1140])
+    def test_split_matches_one_block(self, monkeypatch, n):
+        # around the first size that splits (2 * _ROW_FLOOR), on as many
+        # blocks as this host's CPUs allow
+        grid = RadialGrid(n, 4.0)
+        split = build_kernel(grid, LAM)
+        monkeypatch.setattr(riesz, "_ROW_FLOOR", n + 1)
+        self.assert_tables_equal(split, build_kernel(grid, LAM))
+
+    def test_uneven_blocks(self, monkeypatch):
+        # three blocks whose bounds (0, 341, 683, 1025) are not multiples of
+        # the chunk, whatever the host's CPU count
+        grid = RadialGrid(1025, 4.0)
+        whole = build_kernel(grid, LAM)
+        monkeypatch.setattr(riesz, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(riesz, "_ROW_FLOOR", 300)
+        self.assert_tables_equal(build_kernel(grid, LAM), whole)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "fault, expected",
+        [
+            ("raise", ArithmeticError),
+            # a numpy warning that the error filter turns into an exception
+            ("warn", RuntimeWarning),
+            # the caller's errstate holds in the worker threads too
+            ("errstate", FloatingPointError),
+        ],
+    )
+    def test_block_failure_reaches_caller(self, monkeypatch, fault, expected):
+        # the second block runs on a worker thread; its failure must surface
+        # in build_kernel instead of a partly filled table being returned
+        split = riesz._split_rows
+
+        def second_block_fails(n, fill):
+            def faulty(lo, hi):
+                if lo > 0:
+                    if fault == "raise":
+                        raise ArithmeticError("block failed")
+                    np.log(np.zeros(1))
+                fill(lo, hi)
+
+            split(n, faulty)
+
+        monkeypatch.setattr(riesz, "_split_rows", second_block_fails)
+        monkeypatch.setattr(riesz, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(riesz, "_ROW_FLOOR", 16)
+        with np.errstate(divide="raise" if fault == "errstate" else "warn"):
+            with pytest.raises(expected):
+                build_kernel(RadialGrid(64, 4.0), LAM)
+
+
 def reference_rows(n, r_max, lam, centres, faces):
     """Potential rows at the given cell centres and force rows at the given
     faces, from the closed-form antiderivatives of the shell integral
@@ -201,8 +263,12 @@ class TestInteractionMatvec:
 
     def test_replaced_pot_rederives_operator(self, grid1024, kernel1024, gauss1024):
         # the corrupt-kernel gates double pot with dataclasses.replace; the
-        # operator must follow the new table, not keep the old one
-        doubled = dataclasses.replace(kernel1024, pot=2.0 * kernel1024.pot)
+        # operator must follow the new table, not keep the old one, at a
+        # size whose sym is derived in row blocks
+        doubled = dataclasses.replace(
+            kernel1024, pot=2.0 * kernel1024.pot, frc=kernel1024.frc.copy()
+        )
+        np.testing.assert_array_equal(doubled.sym, 2.0 * kernel1024.sym)
         u = gauss1024.values
         np.testing.assert_allclose(
             doubled.interaction_matvec(u), 2.0 * kernel1024.interaction_matvec(u),
