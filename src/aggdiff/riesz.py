@@ -9,9 +9,11 @@ to be integrated against u(r') r'^2 dr'.  The factor in brackets has
 closed-form antiderivatives in r', so the influence of each source shell on
 each target radius is integrated exactly for a piecewise-constant density;
 the mild kink of |r - r'|^(2-lam) at r = r' therefore costs no accuracy.
-The per-pair weights are assembled once per grid into dense tables, making
+The per-pair weights form dense tables, filled on first use, making
 potential evaluation a matrix-vector product.  The interaction operator is
-stored pre-symmetrized and applied only to the support of the density.
+stored pre-symmetrized as one leading block [0, E), grown by powers of two
+to the cells a product reads, and applied only to the support of the
+density: a density on 150 of 1,140 cells costs a 256 x 256 block.
 
 On the uniform grid the tables are assembled in unit coordinates (radii
 divided by dr).  Targets sit at the cell centres i + 1/2 (potential) or the
@@ -23,14 +25,10 @@ O(n^2) pow calls.  The physical tables are the unit ones times dr^(3 - lam)
 (potential) and dr^(2 - lam) (force), so the homogeneity law used for
 rescaled grids holds exactly.
 
-The three n x n fills (pot, frc and the derived sym) go through one row
-splitter: a table of at least 2 * _ROW_FLOOR rows is cut into contiguous row
-blocks, one per usable CPU, each filled on its own thread while numpy's
-ufunc loops release the interpreter lock; smaller tables are filled on the
-calling thread.  Each block walks its rows in chunks of _CHUNK, so that its
-two chunk buffers stay in a core's L2 cache.  Every element gets the same
-elementwise operations in the same order however the rows are split, so the
-tables are bit-identical for any number of blocks.
+A fill (pot, frc or an operator block) of 2 * _ROW_FLOOR rows or more is
+cut into row blocks on threads (_split_rows), each walking its rows in
+L2-sized chunks of _CHUNK.  Every element gets the same operations in the
+same order however the rows are split, so the tables are bit-identical.
 """
 
 from __future__ import annotations
@@ -76,10 +74,10 @@ def _usable_cpus() -> int:
 def _split_rows(n: int, fill: Callable[[int, int], None]) -> None:
     """Call fill(lo, hi) on contiguous row blocks covering [0, n): one block
     per usable CPU but none under _ROW_FLOOR rows.  The calling thread fills
-    the first block and a new thread each of the others, in a copy of the
-    caller's context (numpy's errstate lives there).  Returns once every
-    block is done; the first exception raised in any block is re-raised
-    here, after all of them have finished."""
+    the first block and a new thread each of the others (numpy's ufunc loops
+    release the interpreter lock), in a copy of the caller's context, where
+    numpy's errstate lives.  Returns once every block is done; the first
+    exception raised in any block is re-raised here, after all finished."""
     parts = max(1, min(_usable_cpus(), n // _ROW_FLOOR))
     bounds = [n * k // parts for k in range(parts + 1)]
     errors = []
@@ -107,75 +105,6 @@ def _support_extent(values: np.ndarray) -> int:
     """Index of the last nonzero cell plus one (0 for the zero field)."""
     nonzero = np.flatnonzero(values)
     return int(nonzero[-1]) + 1 if nonzero.size else 0
-
-
-@dataclass(frozen=True)
-class ReducedKernel:
-    """Precomputed shell-to-shell interaction weights on one grid.
-
-    pot[i, j]   plain potential weight: phi(r_i) = sum_j pot[i, j] u_j, where
-                phi is the convolution of u with |x|^(-lam) (no prefactor).
-                The two estimates of a shell-pair integral, V_i pot[i, j] and
-                V_j pot[j, i], agree to discretization accuracy; the raw
-                rows keep the pointwise potential second-order consistent
-                with the face force.
-    frc[f, j]   radial derivative of the plain potential at face f (the face
-                at r = 0 is zero by symmetry).  Read by force() and the benchmark.
-    sym[i, j]   the interaction operator 0.5 (pot[i, j] + pot[j, i] V_j / V_i),
-                i.e. V^-1 S with S = (V pot + pot^T V)/2 exactly symmetric.
-                It is derived from pot on construction (so a kernel made by
-                dataclasses.replace with another pot gets its own), not set.
-    """
-
-    grid: RadialGrid
-    lam: float
-    pot: np.ndarray = dataclass_field(repr=False)
-    frc: np.ndarray = dataclass_field(repr=False)
-    sym: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.pot.flags.writeable = False
-        self.frc.flags.writeable = False
-        pot, volumes = self.pot, self.grid.volumes
-        # in place, so no n x n temporary exists beside pot and sym; row-major,
-        # since an F-ordered sym rounds sym[:rows, :extent] @ u differently
-        sym = np.empty(pot.shape)
-
-        def fill(lo, hi):
-            for c in range(lo, hi, _CHUNK):
-                d = min(c + _CHUNK, hi)
-                rows = sym[c:d]
-                np.multiply(pot.T[c:d], volumes, out=rows)
-                rows /= volumes[c:d, None]
-                rows += pot[c:d]
-                rows *= 0.5
-
-        _split_rows(len(sym), fill)
-        sym.flags.writeable = False
-        object.__setattr__(self, "sym", sym)
-
-    def interaction_matvec(
-        self, values: np.ndarray, *, rows: int | None = None, extent: int | None = None
-    ) -> np.ndarray:
-        """Symmetrized potential (S u)_i / V_i with S = (V W + W^T V)/2, as
-        one product with the stored operator sym.
-
-        The quadratic form (uV) . result is the interaction energy; its
-        kernel matrix S is exactly symmetric, while the raw rows W keep the
-        target evaluation exact for the pointwise potential.  The build-grid
-        volumes cancel between the two halves, so the result is valid on any
-        length-rescaled grid once multiplied by the outer scale factor.
-
-        Only the source cells [0, extent) enter, extent being the support
-        extent of values (scanned when not given); this is exact, since
-        empty cells contribute nothing.  The result covers target cells
-        [0, rows), all of them by default."""
-        if extent is None:
-            extent = _support_extent(values)
-        sym = self.sym[:rows]
-        if extent < len(values):
-            sym, values = sym[:, :extent], values[:extent]
-        return sym @ values
 
 
 def _shell_integral(r: np.ndarray, a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
@@ -292,32 +221,131 @@ def _frc_table(n: int, t: float, coef: float) -> np.ndarray:
     return frc
 
 
+class _LazyTable:
+    """A read-only full-grid table field of ReducedKernel: pinned when passed
+    to the constructor, else filled by fill(n, *kernel._unit(power)) on first
+    read and kept (a fill that raises keeps nothing)."""
+
+    def __init__(self, fill: Callable[..., np.ndarray], power: float):
+        self._fill, self._power = fill, power
+
+    def __set_name__(self, owner, name):
+        self._slot = "_" + name
+
+    def __get__(self, kernel, owner=None):
+        if kernel is not None and kernel.__dict__[self._slot] is None:
+            self.__set__(kernel, self._fill(kernel.grid.n, *kernel._unit(self._power)))
+        return self if kernel is None else kernel.__dict__[self._slot]
+
+    def __set__(self, kernel, table):
+        # the field's default is the descriptor itself: left to the first read
+        if table is self:
+            table = None
+        else:
+            table.flags.writeable = False
+        kernel.__dict__[self._slot] = table
+
+
+@dataclass(frozen=True, eq=False)
+class ReducedKernel:
+    """Shell-to-shell interaction weights on one grid.
+
+    pot[i, j]   plain potential weight: phi(r_i) = sum_j pot[i, j] u_j, where
+                phi is the convolution of u with |x|^(-lam) (no prefactor).
+                The two estimates of a shell-pair integral, V_i pot[i, j] and
+                V_j pot[j, i], agree to discretization accuracy; the raw
+                rows keep the pointwise potential second-order consistent
+                with the face force.
+    frc[f, j]   radial derivative of the plain potential at face f (the face
+                at r = 0 is zero by symmetry).  Read by force() and the benchmark.
+    sym[i, j]   the interaction operator 0.5 (pot[i, j] + pot[j, i] V_j / V_i),
+                i.e. V^-1 S with S = (V pot + pot^T V)/2 exactly symmetric.
+
+    pot and frc are filled in full on first read unless passed in (as by
+    dataclasses.replace), which pins them.  sym is held as its leading block
+    sym[:E, :E], rebuilt at the next power of two (64 up to n) when
+    a product reads cells past E, from pot[:E, :E] if pot is present (so a
+    replaced pot gets its own operator) or else from _pot_table(E): either
+    way the bit-identical prefix of the full operator.  The weights never
+    change, but as the tables fill on first use, kernels compare by identity.
+    """
+
+    grid: RadialGrid
+    lam: float
+    pot: np.ndarray = dataclass_field(default=_LazyTable(_pot_table, 3.0), repr=False)
+    frc: np.ndarray = dataclass_field(default=_LazyTable(_frc_table, 2.0), repr=False)
+
+    def _unit(self, power: float) -> tuple[float, float]:
+        """t = 2 - lam and the factor (2 pi / t) dr^(power - lam) that scales
+        a unit-coordinate table to the grid."""
+        t = 2.0 - self.lam
+        return t, (2.0 * np.pi / t) * self.grid.dr ** (power - self.lam)
+
+    @property
+    def sym(self) -> np.ndarray:
+        """The interaction operator on the whole grid (the block grown to n)."""
+        return self._operator(self.grid.n)
+
+    def _operator(self, cells: int) -> np.ndarray:
+        """The block sym[:E, :E], rebuilt first if E < cells."""
+        block = self.__dict__.get("_block")
+        if block is not None and len(block) >= cells:
+            return block
+        size = min(max(64, 1 << (cells - 1).bit_length()), self.grid.n)
+        pot = self.__dict__["_pot"]
+        pot = _pot_table(size, *self._unit(3.0)) if pot is None else pot[:size, :size]
+        volumes = self.grid.volumes[:size]
+        # in place, so no E x E temporary exists beside pot and the block;
+        # row-major, since an F-ordered block rounds products differently
+        block = np.empty((size, size))
+
+        def fill(lo, hi):
+            for c in range(lo, hi, _CHUNK):
+                d = min(c + _CHUNK, hi)
+                rows = block[c:d]
+                np.multiply(pot.T[c:d], volumes, out=rows)
+                rows /= volumes[c:d, None]
+                rows += pot[c:d]
+                rows *= 0.5
+
+        _split_rows(size, fill)
+        block.flags.writeable = False
+        self.__dict__["_block"] = block
+        return block
+
+    def interaction_matvec(
+        self, values: np.ndarray, *, rows: int | None = None, extent: int | None = None
+    ) -> np.ndarray:
+        """Symmetrized potential (S u)_i / V_i with S = (V W + W^T V)/2, as
+        one product with the operator block.
+
+        The quadratic form (uV) . result is the interaction energy; its
+        kernel matrix S is exactly symmetric, while the raw rows W keep the
+        target evaluation exact for the pointwise potential.  The build-grid
+        volumes cancel between the two halves, so the result is valid on any
+        length-rescaled grid once multiplied by the outer scale factor.
+
+        Only the source cells [0, extent) enter, extent being the support
+        extent of values (scanned when not given); this is exact, since
+        empty cells contribute nothing.  The result covers target cells
+        [0, rows), all of them by default; the block grows to cover both."""
+        if extent is None:
+            extent = _support_extent(values)
+        if rows is None:
+            rows = self.grid.n
+        return self._operator(max(rows, extent))[:rows, :extent] @ values[:extent]
+
+
 def build_kernel(grid: RadialGrid, lam: float) -> ReducedKernel:
-    """Assemble the dense potential and force weight tables for one grid.
-
-    The rows are the exact shell integrals of _pot_rows_exact and their
-    radial derivatives, assembled in unit coordinates from one-dimensional
-    power tables read through Hankel and Toeplitz views (see the module
-    docstring); each antiderivative is evaluated once per cell edge and
-    differenced between neighbouring edges.  The unit tables are scaled by
-    dr^(3 - lam) and dr^(2 - lam), so the homogeneity law of _scale_factor
-    holds exactly between grids of equal n.
-
-    From n = 2 * _ROW_FLOOR (1024) rows on, each table is filled in row
-    blocks on one thread per usable CPU (the process's affinity mask), with
-    no setting; smaller tables are filled on the calling thread.  The tables
-    are bit-identical for any number of blocks, and an exception in any
-    block is raised here.
-
-    The tables are for d = 3 (the angular reduction of the module docstring
-    is specific to it); the kernel power must satisfy 0 < lam < 1.
+    """The kernel |x - y|^(-lam) on one grid, with no table filled yet: each
+    is assembled as the module docstring describes when a product first
+    needs it (see ReducedKernel), and a failure in any row block reaches the
+    read that started the fill.  The tables are for d = 3 (the angular
+    reduction is specific to it); the kernel power must satisfy 0 < lam < 1.
     """
     if not (0.0 < lam < 1.0):
         raise ValueError(f"kernel power must satisfy 0 < lam < 1, got {lam}")
-    t = 2.0 - lam
-    pot = _pot_table(grid.n, t, (2.0 * np.pi / t) * grid.dr ** (3.0 - lam))
-    frc = _frc_table(grid.n, t, (2.0 * np.pi / t) * grid.dr ** (2.0 - lam))
-    return ReducedKernel(grid=grid, lam=lam, pot=pot, frc=frc)
+    return ReducedKernel(grid=grid, lam=lam)
 
 
 def _scale_factor(kernel: ReducedKernel, grid: RadialGrid, power_offset: float) -> float:
@@ -360,9 +388,18 @@ def potential_symmetric(u: RadialField, kernel: ReducedKernel) -> RadialField:
 
 def interaction(u: RadialField, kernel: ReducedKernel) -> float:
     """Interaction energy h(u) = iint u(x) u(y) |x - y|^(-lam) dx dy (no
-    prefactor): an exactly symmetric, nonnegative quadratic form in u."""
+    prefactor): an exactly symmetric, nonnegative quadratic form in u.
+
+    phi is computed on the support's cells rounded up to a multiple of 8,
+    then zero-padded: this keeps h bit-identical to the product over all
+    cells, as BLAS matrix-vector kernels sum rows in groups (of 4 in x86-64
+    OpenBLAS, split evenly between two threads) and a dot product over the
+    support alone would regroup its sum."""
     fac = _scale_factor(kernel, u.grid, 0.0)
-    phi = kernel.interaction_matvec(u.values)
+    extent = _support_extent(u.values)
+    rows = min(-(-extent // 8) * 8, u.grid.n)
+    phi = np.zeros(u.grid.n)
+    phi[:rows] = kernel.interaction_matvec(u.values, rows=rows, extent=extent)
     return float(fac * ((u.values * u.grid.volumes) @ phi))
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+import aggdiff as ag
 from aggdiff import RadialGrid, SimConfig, build_kernel, field_from_function, run
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -49,3 +50,26 @@ def test_doubled_potential_fault(exps):
     doubled = load_tracing()._doubled_potential(kernel)
     np.testing.assert_array_equal(doubled.pot, 2.0 * kernel.pot)
     np.testing.assert_array_equal(doubled.sym, 2.0 * kernel.sym)
+
+
+def test_table_bytes_fills_full_tables(exps):
+    # the tracer's build_kernel span reads pot and frc of a kernel that has
+    # filled neither yet
+    n = 100
+    kernel = build_kernel(RadialGrid(n, 4.0), exps.lam)
+    assert load_tracing()._table_bytes((), kernel) == (8.0 * (n * n + (n + 1) * n), 0.0)
+
+
+def test_corrupt_kernel_reaches_operator_block(exps):
+    # the gate's doubled kernel, read through a 64-cell operator block of an
+    # n = 300 grid: the block must come from the doubled pot
+    tracing = load_tracing()
+    grid = RadialGrid(300, 4.0)
+    doubled = tracing.Api(ag, tracing.StepCounter(ag.evolve.step),
+                          corrupt_kernel=True).build_kernel(grid, exps.lam)
+    kernel = build_kernel(grid, exps.lam)
+    u = np.zeros(grid.n)
+    u[:40] = np.linspace(1.0, 0.1, 40)
+    part = doubled.interaction_matvec(u, rows=40)
+    assert doubled.__dict__["_block"].shape == (64, 64)
+    np.testing.assert_array_equal(part, 2.0 * kernel.interaction_matvec(u, rows=40))

@@ -119,30 +119,38 @@ class TestBuild:
 
 class TestRowBlocks:
     """The tables are filled in row blocks on threads; any split gives
-    bit-identical tables, and a failure in any block reaches the caller."""
+    bit-identical tables, and a failure in any block reaches the read that
+    started the fill."""
+
+    @staticmethod
+    def tables(kernel):
+        # sym first, so that its block is filled from its own potential
+        # rows rather than sliced from a full pot
+        return kernel.sym, kernel.pot, kernel.frc
 
     @staticmethod
     def assert_tables_equal(a, b):
-        for name in ("pot", "frc", "sym"):
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        for x, y in zip(a, b, strict=True):
+            np.testing.assert_array_equal(x, y)
 
     @pytest.mark.parametrize("n", [1023, 1024, 1025, 1140])
     def test_split_matches_one_block(self, monkeypatch, n):
         # around the first size that splits (2 * _ROW_FLOOR), on as many
-        # blocks as this host's CPUs allow
+        # blocks as this host's CPUs allow; the tables are filled on first
+        # read, so the split ones are read before the floor is raised
         grid = RadialGrid(n, 4.0)
-        split = build_kernel(grid, LAM)
+        split = self.tables(build_kernel(grid, LAM))
         monkeypatch.setattr(riesz, "_ROW_FLOOR", n + 1)
-        self.assert_tables_equal(split, build_kernel(grid, LAM))
+        self.assert_tables_equal(split, self.tables(build_kernel(grid, LAM)))
 
     def test_uneven_blocks(self, monkeypatch):
         # three blocks whose bounds (0, 341, 683, 1025) are not multiples of
         # the chunk, whatever the host's CPU count
         grid = RadialGrid(1025, 4.0)
-        whole = build_kernel(grid, LAM)
+        whole = self.tables(build_kernel(grid, LAM))
         monkeypatch.setattr(riesz, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(riesz, "_ROW_FLOOR", 300)
-        self.assert_tables_equal(build_kernel(grid, LAM), whole)
+        self.assert_tables_equal(self.tables(build_kernel(grid, LAM)), whole)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -157,7 +165,9 @@ class TestRowBlocks:
     )
     def test_block_failure_reaches_caller(self, monkeypatch, fault, expected):
         # the second block runs on a worker thread; its failure must surface
-        # in build_kernel instead of a partly filled table being returned
+        # in the read that started the fill, and the kernel must keep no
+        # partly filled table: the next read fails again, and once the
+        # fault is gone it fills the whole table
         split = riesz._split_rows
 
         def second_block_fails(n, fill):
@@ -170,12 +180,102 @@ class TestRowBlocks:
 
             split(n, faulty)
 
+        grid = RadialGrid(64, 4.0)
+        whole = self.tables(build_kernel(grid, LAM))
+        kernel = build_kernel(grid, LAM)
+        # with pot given, the operator block is the only fill of a sym read
+        pinned = riesz.ReducedKernel(grid, LAM, pot=whole[1].copy())
         monkeypatch.setattr(riesz, "_split_rows", second_block_fails)
         monkeypatch.setattr(riesz, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(riesz, "_ROW_FLOOR", 16)
+        reads = [
+            lambda: kernel.sym,
+            lambda: kernel.pot,
+            lambda: kernel.frc,
+            lambda: kernel.interaction_matvec(np.ones(grid.n), rows=1),
+            lambda: pinned.sym,
+        ]
         with np.errstate(divide="raise" if fault == "errstate" else "warn"):
-            with pytest.raises(expected):
-                build_kernel(RadialGrid(64, 4.0), LAM)
+            for read in reads:
+                for _ in range(2):
+                    with pytest.raises(expected):
+                        read()
+        monkeypatch.setattr(riesz, "_split_rows", split)
+        self.assert_tables_equal(self.tables(kernel), whole)
+        np.testing.assert_array_equal(pinned.sym, whole[0])
+
+
+class TestOperatorBlock:
+    """The kernel fills nothing when built; the operator block grows by
+    powers of two to the cells a product reads, and every block is the
+    bit-identical prefix of the full operator."""
+
+    @pytest.mark.parametrize("n", [300, 1140])
+    def test_pot_rows_are_prefixes(self, n):
+        t, coef = build_kernel(RadialGrid(n, 4.0), LAM)._unit(3.0)
+        full = riesz._pot_table(n, t, coef)
+        for size in (64, 128, 256, 512):
+            if size < n:
+                np.testing.assert_array_equal(riesz._pot_table(size, t, coef),
+                                              full[:size, :size])
+
+    def test_grown_block_matches_one_full_build(self):
+        grid = RadialGrid(1140, 9.0)
+        rng = np.random.default_rng(3)
+        fields, parts, sizes = [], [], []
+        grown = build_kernel(grid, LAM)
+        for extent in (40, 100, 200, 400, 800, 1140):
+            u = np.zeros(grid.n)
+            u[:extent] = rng.random(extent) + 0.1
+            fields.append(u)
+            parts.append(grown.interaction_matvec(u, rows=extent))
+            sizes.append(len(grown.__dict__["_block"]))
+        assert sizes == [64, 128, 256, 512, 1024, 1140]
+        fresh = build_kernel(grid, LAM)
+        for u, part in zip(fields, parts):
+            full = fresh.interaction_matvec(u)
+            np.testing.assert_array_equal(part, full[: len(part)])
+            np.testing.assert_array_equal(grown.interaction_matvec(u), full)
+        np.testing.assert_array_equal(grown.sym, fresh.sym)
+
+    def test_build_fills_no_table(self):
+        grid = RadialGrid(1140, 9.0)
+        kernel = build_kernel(grid, LAM)
+        held = (*vars(kernel).values(), *vars(grid).values())
+        assert [a for a in held if isinstance(a, np.ndarray) and a.size > grid.n + 1] == []
+
+    def test_dichotomy_kernel_stays_small(self, exps, profile_n512, thresholds_n512):
+        # the seed-0 dichotomy: both legs to t_end = 100 read the operator on
+        # the first ~150 of 1140 cells, so one 256-cell block serves them
+        wt = ag.threshold_profile(profile_n512, exps)
+        wt = ag.pad_grid(wt, 8.0 * ag.support_radius(wt))
+        kernel = build_kernel(wt.grid, exps.lam)
+        cfg = ag.SimConfig(t_end=100.0, record_every=200)
+        for kappa in (0.8, 1.2):
+            u0 = wt.with_values(kappa * wt.values)
+            ag.classify(u0, thresholds_n512, exps, kernel)
+            ag.run(u0, cfg, kernel, exps)
+        held = sum(a.nbytes for a in vars(kernel).values() if isinstance(a, np.ndarray))
+        assert wt.grid.n == 1140 and held < 2**20
+
+    @pytest.mark.parametrize("extent", [1, 19, 58])
+    def test_interaction_matches_full_rows(self, extent):
+        # products small enough for BLAS to run on one thread; at 19 and 58
+        # cells h moves in its last bit if phi is computed on the support's
+        # rows alone, the last of which then fall in a partial row group
+        grid = RadialGrid(128, 4.0)
+        kernel = build_kernel(grid, LAM)
+        u = np.zeros(grid.n)
+        u[:extent] = np.random.default_rng(extent).random(extent) + 0.1
+        full = (u * grid.volumes) @ (kernel.sym[:, :extent] @ u[:extent])
+        assert interaction(field_from_values(grid, u), kernel) == full
+
+    def test_identity_equality(self):
+        grid = RadialGrid(64, 4.0)
+        a, b = build_kernel(grid, LAM), build_kernel(grid, LAM)
+        assert a == a and a != b and len({a, b, a}) == 2
+        # comparing fills no table
+        assert a.__dict__["_pot"] is None and "_block" not in a.__dict__
 
 
 def reference_rows(n, r_max, lam, centres, faces):
