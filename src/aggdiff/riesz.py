@@ -25,17 +25,12 @@ O(n^2) pow calls.  The physical tables are the unit ones times dr^(3 - lam)
 (potential) and dr^(2 - lam) (force), so the homogeneity law used for
 rescaled grids holds exactly.
 
-A fill (pot, frc or an operator block) of 2 * _ROW_FLOOR rows or more is
-cut into row blocks on threads (_split_rows), each walking its rows in
-L2-sized chunks of _CHUNK.  Every element gets the same operations in the
-same order however the rows are split, so the tables are bit-identical.
+A fill (pot, frc or an operator block) walks its rows on the calling
+thread in L2-sized chunks of _CHUNK rows.
 """
 
 from __future__ import annotations
 
-import contextvars
-import os
-import threading
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
 
@@ -58,47 +53,6 @@ __all__ = [
 # rows per chunk: two (32, n + 1) float buffers are 0.6 MB at n = 1140 and
 # 1 MB at n = 2048, inside a 2 MB L2
 _CHUNK = 32
-# fewest rows per thread: on a 2-core host two 256-row blocks at n = 512
-# gained nothing, two 570-row blocks at n = 1140 about 1.5x
-_ROW_FLOOR = 512
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the platform
-    has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _split_rows(n: int, fill: Callable[[int, int], None]) -> None:
-    """Call fill(lo, hi) on contiguous row blocks covering [0, n): one block
-    per usable CPU but none under _ROW_FLOOR rows.  The calling thread fills
-    the first block and a new thread each of the others (numpy's ufunc loops
-    release the interpreter lock), in a copy of the caller's context, where
-    numpy's errstate lives.  Returns once every block is done; the first
-    exception raised in any block is re-raised here, after all finished."""
-    parts = max(1, min(_usable_cpus(), n // _ROW_FLOOR))
-    bounds = [n * k // parts for k in range(parts + 1)]
-    errors = []
-
-    def run(lo, hi):
-        try:
-            fill(lo, hi)
-        except BaseException as exc:  # re-raised in the caller below
-            errors.append(exc)
-
-    threads = [
-        threading.Thread(target=contextvars.copy_context().run, args=(run, lo, hi))
-        for lo, hi in zip(bounds[1:-1], bounds[2:])
-    ]
-    for thread in threads:
-        thread.start()
-    run(bounds[0], bounds[1])
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
 
 
 def _support_extent(values: np.ndarray) -> int:
@@ -161,21 +115,17 @@ def _pot_table(n: int, t: float, coef: float) -> np.ndarray:
     a_h, a_t = _hankel_toeplitz(a, np.concatenate((a[n - 1::-1], a[:n])), n)
     b_h, bs_t = _hankel_toeplitz(b, np.concatenate((-b[n - 1::-1], b[:n])), n)
     pot = np.empty((n, n))
-
-    def fill(lo, hi):
-        buf = np.empty((2, min(_CHUNK, hi - lo), n + 1))
-        for c in range(lo, hi, _CHUNK):
-            d = min(c + _CHUNK, hi)
-            F, Y = buf[:, : d - c]
-            rho = h[c:d, None]
-            np.subtract(a_h[c:d], a_t[c:d], out=F)
-            np.add(b_h[c:d], bs_t[c:d], out=Y)
-            Y *= rho
-            F -= Y
-            np.subtract(F[:, 1:], F[:, :-1], out=pot[c:d])
-            pot[c:d] *= coef / rho
-
-    _split_rows(n, fill)
+    buf = np.empty((2, min(_CHUNK, n), n + 1))
+    for c in range(0, n, _CHUNK):
+        d = min(c + _CHUNK, n)
+        F, Y = buf[:, : d - c]
+        rho = h[c:d, None]
+        np.subtract(a_h[c:d], a_t[c:d], out=F)
+        np.add(b_h[c:d], bs_t[c:d], out=Y)
+        Y *= rho
+        F -= Y
+        np.subtract(F[:, 1:], F[:, :-1], out=pot[c:d])
+        pot[c:d] *= coef / rho
     return pot
 
 
@@ -199,25 +149,21 @@ def _frc_table(n: int, t: float, coef: float) -> np.ndarray:
     g2_h, g2_t = _hankel_toeplitz(g2[1:], np.concatenate((g2[n:0:-1], g2[:n])), n)
     frc = np.empty((n + 1, n))
     frc[0] = 0.0
-
-    def fill(lo, hi):
-        buf = np.empty((2, min(_CHUNK, hi - lo), n + 1))
-        for c in range(lo, hi, _CHUNK):
-            d = min(c + _CHUNK, hi)
-            H, Y = buf[:, : d - c]
-            f = g[c + 1 : d + 1, None]
-            np.add(g1_h[c:d], sg1_t[c:d], out=H)
-            np.subtract(g0_h[c:d], g0_t[c:d], out=Y)
-            Y *= f
-            H -= Y
-            np.subtract(g2_h[c:d], g2_t[c:d], out=Y)
-            Y /= f
-            H -= Y
-            rows = frc[c + 1 : d + 1]
-            np.subtract(H[:, 1:], H[:, :-1], out=rows)
-            rows *= coef / f
-
-    _split_rows(n, fill)
+    buf = np.empty((2, min(_CHUNK, n), n + 1))
+    for c in range(0, n, _CHUNK):
+        d = min(c + _CHUNK, n)
+        H, Y = buf[:, : d - c]
+        f = g[c + 1 : d + 1, None]
+        np.add(g1_h[c:d], sg1_t[c:d], out=H)
+        np.subtract(g0_h[c:d], g0_t[c:d], out=Y)
+        Y *= f
+        H -= Y
+        np.subtract(g2_h[c:d], g2_t[c:d], out=Y)
+        Y /= f
+        H -= Y
+        rows = frc[c + 1 : d + 1]
+        np.subtract(H[:, 1:], H[:, :-1], out=rows)
+        rows *= coef / f
     return frc
 
 
@@ -262,18 +208,30 @@ class ReducedKernel:
                 i.e. V^-1 S with S = (V pot + pot^T V)/2 exactly symmetric.
 
     pot and frc are filled in full on first read unless passed in (as by
-    dataclasses.replace), which pins them.  sym is held as its leading block
-    sym[:E, :E], rebuilt at the next power of two (64 up to n) when
-    a product reads cells past E, from pot[:E, :E] if pot is present (so a
-    replaced pot gets its own operator) or else from _pot_table(E): either
-    way the bit-identical prefix of the full operator.  The weights never
-    change, but as the tables fill on first use, kernels compare by identity.
+    dataclasses.replace), which pins them; a pinned table must have the
+    shape above, and lam must satisfy 0 < lam < 1 (ValueError otherwise).
+    sym is held as its leading block sym[:E, :E], rebuilt at the next power
+    of two (64 up to n) when a product reads cells past E, from pot[:E, :E]
+    if pot is present (so a replaced pot gets its own operator) or else from
+    _pot_table(E): either way the bit-identical prefix of the full operator.
+    Every fill runs on the calling thread; one that raises keeps nothing, so
+    the next read fills afresh.  The weights never change, but as the tables
+    fill on first use, kernels compare by identity.
     """
 
     grid: RadialGrid
     lam: float
     pot: np.ndarray = dataclass_field(default=_LazyTable(_pot_table, 3.0), repr=False)
     frc: np.ndarray = dataclass_field(default=_LazyTable(_frc_table, 2.0), repr=False)
+
+    def __post_init__(self):
+        if not (0.0 < self.lam < 1.0):
+            raise ValueError(f"kernel power must satisfy 0 < lam < 1, got {self.lam}")
+        n = self.grid.n
+        for name, shape in (("pot", (n, n)), ("frc", (n + 1, n))):
+            table = self.__dict__["_" + name]
+            if table is not None and table.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {table.shape}")
 
     def _unit(self, power: float) -> tuple[float, float]:
         """t = 2 - lam and the factor (2 pi / t) dr^(power - lam) that scales
@@ -298,17 +256,12 @@ class ReducedKernel:
         # in place, so no E x E temporary exists beside pot and the block;
         # row-major, since an F-ordered block rounds products differently
         block = np.empty((size, size))
-
-        def fill(lo, hi):
-            for c in range(lo, hi, _CHUNK):
-                d = min(c + _CHUNK, hi)
-                rows = block[c:d]
-                np.multiply(pot.T[c:d], volumes, out=rows)
-                rows /= volumes[c:d, None]
-                rows += pot[c:d]
-                rows *= 0.5
-
-        _split_rows(size, fill)
+        for c in range(0, size, _CHUNK):
+            rows = block[c : c + _CHUNK]
+            np.multiply(pot.T[c : c + _CHUNK], volumes, out=rows)
+            rows /= volumes[c : c + _CHUNK, None]
+            rows += pot[c : c + _CHUNK]
+            rows *= 0.5
         block.flags.writeable = False
         self.__dict__["_block"] = block
         return block
@@ -339,12 +292,10 @@ class ReducedKernel:
 def build_kernel(grid: RadialGrid, lam: float) -> ReducedKernel:
     """The kernel |x - y|^(-lam) on one grid, with no table filled yet: each
     is assembled as the module docstring describes when a product first
-    needs it (see ReducedKernel), and a failure in any row block reaches the
-    read that started the fill.  The tables are for d = 3 (the angular
-    reduction is specific to it); the kernel power must satisfy 0 < lam < 1.
+    needs it (see ReducedKernel), and a failed fill raises in the read that
+    started it.  The tables are for d = 3 (the angular reduction is specific
+    to it); the kernel power must satisfy 0 < lam < 1 (ValueError otherwise).
     """
-    if not (0.0 < lam < 1.0):
-        raise ValueError(f"kernel power must satisfy 0 < lam < 1, got {lam}")
     return ReducedKernel(grid=grid, lam=lam)
 
 

@@ -81,8 +81,21 @@ def gauss1024(grid1024):
 
 class TestBuild:
     def test_rejects_bad_power(self, grid1024):
-        with pytest.raises(ValueError):
-            build_kernel(grid1024, 1.5)
+        # the public constructor checks lam as build_kernel does
+        for make in (build_kernel, riesz.ReducedKernel):
+            for lam in (1.5, 0.0, float("nan")):
+                with pytest.raises(ValueError):
+                    make(grid1024, lam)
+
+    def test_rejects_wrong_shape_table(self):
+        # a larger pinned pot would be sliced silently into the operator
+        # block; tables of the right shape (dataclasses.replace) are kept
+        grid = RadialGrid(128, 4.0)
+        n = grid.n
+        for tables in ({"pot": np.ones((200, 200))}, {"pot": np.ones((n + 1, n))},
+                       {"frc": np.ones((n, n))}):
+            with pytest.raises(ValueError):
+                riesz.ReducedKernel(grid, LAM, **tables)
 
     def test_weights_nonnegative(self, kernel1024):
         assert np.all(kernel1024.pot >= 0.0)
@@ -117,40 +130,10 @@ class TestBuild:
         assert abs(val - M / r0**LAM) <= 1e-3 * M / r0**LAM
 
 
-class TestRowBlocks:
-    """The tables are filled in row blocks on threads; any split gives
-    bit-identical tables, and a failure in any block reaches the read that
-    started the fill."""
-
-    @staticmethod
-    def tables(kernel):
-        # sym first, so that its block is filled from its own potential
-        # rows rather than sliced from a full pot
-        return kernel.sym, kernel.pot, kernel.frc
-
-    @staticmethod
-    def assert_tables_equal(a, b):
-        for x, y in zip(a, b, strict=True):
-            np.testing.assert_array_equal(x, y)
-
-    @pytest.mark.parametrize("n", [1023, 1024, 1025, 1140])
-    def test_split_matches_one_block(self, monkeypatch, n):
-        # around the first size that splits (2 * _ROW_FLOOR), on as many
-        # blocks as this host's CPUs allow; the tables are filled on first
-        # read, so the split ones are read before the floor is raised
-        grid = RadialGrid(n, 4.0)
-        split = self.tables(build_kernel(grid, LAM))
-        monkeypatch.setattr(riesz, "_ROW_FLOOR", n + 1)
-        self.assert_tables_equal(split, self.tables(build_kernel(grid, LAM)))
-
-    def test_uneven_blocks(self, monkeypatch):
-        # three blocks whose bounds (0, 341, 683, 1025) are not multiples of
-        # the chunk, whatever the host's CPU count
-        grid = RadialGrid(1025, 4.0)
-        whole = self.tables(build_kernel(grid, LAM))
-        monkeypatch.setattr(riesz, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(riesz, "_ROW_FLOOR", 300)
-        self.assert_tables_equal(self.tables(build_kernel(grid, LAM)), whole)
+class TestFailedFill:
+    """Every table fills on the calling thread when first read; a fill that
+    fails raises in the read that started it and keeps nothing, so the next
+    read fills afresh."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -159,50 +142,47 @@ class TestRowBlocks:
             ("raise", ArithmeticError),
             # a numpy warning that the error filter turns into an exception
             ("warn", RuntimeWarning),
-            # the caller's errstate holds in the worker threads too
+            # the caller's errstate holds in the operator block's fill
             ("errstate", FloatingPointError),
         ],
     )
-    def test_block_failure_reaches_caller(self, monkeypatch, fault, expected):
-        # the second block runs on a worker thread; its failure must surface
-        # in the read that started the fill, and the kernel must keep no
-        # partly filled table: the next read fails again, and once the
-        # fault is gone it fills the whole table
-        split = riesz._split_rows
-
-        def second_block_fails(n, fill):
-            def faulty(lo, hi):
-                if lo > 0:
-                    if fault == "raise":
-                        raise ArithmeticError("block failed")
-                    np.log(np.zeros(1))
-                fill(lo, hi)
-
-            split(n, faulty)
-
+    def test_failure_reaches_caller(self, monkeypatch, fault, expected):
         grid = RadialGrid(64, 4.0)
-        whole = self.tables(build_kernel(grid, LAM))
-        kernel = build_kernel(grid, LAM)
-        # with pot given, the operator block is the only fill of a sym read
-        pinned = riesz.ReducedKernel(grid, LAM, pot=whole[1].copy())
-        monkeypatch.setattr(riesz, "_split_rows", second_block_fails)
-        monkeypatch.setattr(riesz, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(riesz, "_ROW_FLOOR", 16)
-        reads = [
-            lambda: kernel.sym,
-            lambda: kernel.pot,
-            lambda: kernel.frc,
-            lambda: kernel.interaction_matvec(np.ones(grid.n), rows=1),
-            lambda: pinned.sym,
-        ]
-        with np.errstate(divide="raise" if fault == "errstate" else "warn"):
+        if fault == "errstate":
+            # with pot pinned, the operator block is the only fill of a sym
+            # read, and 1e308 times a cell volume overflows in it
+            def build():
+                return riesz.ReducedKernel(grid, LAM, pot=np.full((grid.n, grid.n), 1e308))
+        else:
+            # every pot and frc fill, and an operator block filled from its
+            # own potential rows, looks up _hankel_toeplitz when it runs
+            def faulty(*args):
+                if fault == "raise":
+                    raise ArithmeticError("fill failed")
+                np.log(np.zeros(1))
+
+            def build():
+                return build_kernel(grid, LAM)
+
+            monkeypatch.setattr(riesz, "_hankel_toeplitz", faulty)
+        kernel = build()
+        reads = [lambda: kernel.sym,
+                 lambda: kernel.interaction_matvec(np.ones(grid.n), rows=1)]
+        if fault != "errstate":
+            reads += [lambda: kernel.pot, lambda: kernel.frc]
+        with np.errstate(over="raise"):
             for read in reads:
                 for _ in range(2):
                     with pytest.raises(expected):
                         read()
-        monkeypatch.setattr(riesz, "_split_rows", split)
-        self.assert_tables_equal(self.tables(kernel), whole)
-        np.testing.assert_array_equal(pinned.sym, whole[0])
+        # no operator block and no table but a pinned one
+        held = {k for k, v in vars(kernel).items() if v is not None} - {"grid", "lam"}
+        assert held == ({"_pot"} if fault == "errstate" else set())
+        monkeypatch.undo()
+        fresh = build()
+        with np.errstate(over="ignore"):
+            for name in ("sym", "pot", "frc"):
+                np.testing.assert_array_equal(getattr(kernel, name), getattr(fresh, name))
 
 
 class TestOperatorBlock:
@@ -311,18 +291,23 @@ def reference_rows(n, r_max, lam, centres, faces):
 
 class TestTables:
     def test_against_high_precision_antiderivatives(self):
-        n, r_max = 256, 8.0
-        centres, faces = [0, 1, 7, 128, 255], [1, 2, 7, 128, 256]
-        kernel = build_kernel(RadialGrid(n, r_max), LAM)
-        pot, frc = reference_rows(n, r_max, LAM, centres, faces)
+        r_max = 8.0
 
         def row_error(rows, ref):
             return np.max(np.abs(rows - ref), axis=1) / np.max(np.abs(ref), axis=1)
 
-        assert np.all(row_error(kernel.pot[centres], pot) <= 1e-11)
-        # the face-1 row loses about 8 digits to cancellation between the
-        # two terms of the derivative
-        assert np.all(row_error(kernel.frc[faces], frc) <= 3e-8)
+        # n = 300 is no multiple of the fill's row chunk, so its last rows
+        # come from a partial chunk
+        for n, centres, faces in [
+            (256, [0, 1, 7, 128, 255], [1, 2, 7, 128, 256]),
+            (300, [0, 1, 7, 290, 299], [1, 2, 7, 290, 300]),
+        ]:
+            kernel = build_kernel(RadialGrid(n, r_max), LAM)
+            pot, frc = reference_rows(n, r_max, LAM, centres, faces)
+            assert np.all(row_error(kernel.pot[centres], pot) <= 1e-11)
+            # the face-1 row loses about 8 digits to cancellation between
+            # the two terms of the derivative
+            assert np.all(row_error(kernel.frc[faces], frc) <= 3e-8)
 
     @pytest.mark.parametrize("c", [0.37, 3.0])
     def test_exact_homogeneity(self, c):
@@ -364,7 +349,7 @@ class TestInteractionMatvec:
     def test_replaced_pot_rederives_operator(self, grid1024, kernel1024, gauss1024):
         # the corrupt-kernel gates double pot with dataclasses.replace; the
         # operator must follow the new table, not keep the old one, at a
-        # size whose sym is derived in row blocks
+        # size whose sym is derived over many row chunks
         doubled = dataclasses.replace(
             kernel1024, pot=2.0 * kernel1024.pot, frc=kernel1024.frc.copy()
         )
