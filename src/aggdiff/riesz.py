@@ -26,7 +26,8 @@ O(n^2) pow calls.  The physical tables are the unit ones times dr^(3 - lam)
 rescaled grids holds exactly.
 
 A fill (pot, frc or an operator block) walks its rows on the calling
-thread in L2-sized chunks of _CHUNK rows.
+thread in L2-sized chunks of _CHUNK rows; a block that no held pot backs
+computes each chunk's pot rows and columns, building no E x E pot.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ __all__ = [
 ]
 
 # rows per chunk: two (32, n + 1) float buffers are 0.6 MB at n = 1140 and
-# 1 MB at n = 2048, inside a 2 MB L2
+# 1 MB at n = 2048, inside a 2 MB L2 (an operator block's four shrink with c)
 _CHUNK = 32
 
 
@@ -99,33 +100,49 @@ def _hankel_toeplitz(hankel: np.ndarray, toeplitz: np.ndarray, n: int):
     )
 
 
-def _pot_table(n: int, t: float, coef: float) -> np.ndarray:
-    """Potential rows in unit coordinates (dr = 1): row i is coef / rho
-    times the difference between neighbouring source edges j of P - M at
-    the centre rho = i + 1/2.  With w = j - rho,
+def _pot_windows(n: int, t: float):
+    """The centres h = k + 1/2 and the windows of a = h^(t+2)/(t+2) and
+    b = h^(t+1)/(t+1) for pot rows (centre i, edge j) and columns (edge k,
+    centre j; reversed, the Toeplitz table a_t is itself and bs_t is -bs_t)."""
+    h = np.arange(2 * n) + 0.5
+    a = h ** (t + 2.0) / (t + 2.0)
+    b = h ** (t + 1.0) / (t + 1.0)
+    a_t, bs_t = np.concatenate((a[n - 1::-1], a[:n])), np.concatenate((-b[n - 1::-1], b[:n]))
+    rows = (*_hankel_toeplitz(a, a_t, n), *_hankel_toeplitz(b, bs_t, n))
+    return h, rows, (*_hankel_toeplitz(a, a_t, n - 1), *_hankel_toeplitz(b, -bs_t, n - 1))
+
+
+def _pot_rows(out, buf, windows, chunk, rho, coef):
+    """Potential entries in unit coordinates (dr = 1) from the window rows
+    chunk, out[i, j] = pot[i, j] for a column of centres rho (pot[j, i] for
+    a 1-D row, differenced down the columns): coef / rho times the difference
+    between neighbouring source edges j of P - M at the centre rho = i + 1/2.
+    With w = j - rho,
 
         P - M = [q^(t+2)/(t+2)](rho + j) - [q^(t+2)/(t+2)](|w|)
                 - rho ([q^(t+1)/(t+1)](rho + j) + sign(w) [q^(t+1)/(t+1)](|w|)),
 
     where rho + j = h[i + j] and |w| = h[j - i - 1] (j > i) or h[i - j]
-    (j <= i) on the half-integers h = k + 1/2."""
-    h = np.arange(2 * n) + 0.5
-    a = h ** (t + 2.0) / (t + 2.0)
-    b = h ** (t + 1.0) / (t + 1.0)
-    a_h, a_t = _hankel_toeplitz(a, np.concatenate((a[n - 1::-1], a[:n])), n)
-    b_h, bs_t = _hankel_toeplitz(b, np.concatenate((-b[n - 1::-1], b[:n])), n)
+    (j <= i) on the half-integers h = k + 1/2; buf is scratch."""
+    a_h, a_t, b_h, bs_t = (w[chunk] for w in windows)
+    # contiguous scratch: numpy runs strided 2-D operands far slower
+    F, Y = (b[: a_h.size].reshape(a_h.shape) for b in buf)
+    np.subtract(a_h, a_t, out=F)
+    np.add(b_h, bs_t, out=Y)
+    Y *= rho
+    F -= Y
+    np.subtract(*((F[1:], F[:-1]) if rho.ndim == 1 else (F[:, 1:], F[:, :-1])), out=out)
+    out *= coef / rho
+
+
+def _pot_table(n: int, t: float, coef: float) -> np.ndarray:
+    """The full potential table pot[:n, :n], in chunks of rows."""
+    h, windows, _ = _pot_windows(n, t)
     pot = np.empty((n, n))
-    buf = np.empty((2, min(_CHUNK, n), n + 1))
+    buf = np.empty((2, min(_CHUNK, n) * (n + 1)))
     for c in range(0, n, _CHUNK):
         d = min(c + _CHUNK, n)
-        F, Y = buf[:, : d - c]
-        rho = h[c:d, None]
-        np.subtract(a_h[c:d], a_t[c:d], out=F)
-        np.add(b_h[c:d], bs_t[c:d], out=Y)
-        Y *= rho
-        F -= Y
-        np.subtract(F[:, 1:], F[:, :-1], out=pot[c:d])
-        pot[c:d] *= coef / rho
+        _pot_rows(pot[c:d], buf, windows, slice(c, d), h[c:d, None], coef)
     return pot
 
 
@@ -168,28 +185,32 @@ def _frc_table(n: int, t: float, coef: float) -> np.ndarray:
 
 
 class _LazyTable:
-    """A read-only full-grid table field of ReducedKernel: pinned when passed
-    to the constructor, else filled by fill(n, *kernel._unit(power)) on first
-    read and kept (a fill that raises keeps nothing)."""
+    """A read-only (n + extra_rows, n) table field of ReducedKernel, pinned
+    as a private float64 copy when passed in (ValueError for another shape),
+    else filled by fill(n, *kernel._unit(power)) on first read and kept."""
 
-    def __init__(self, fill: Callable[..., np.ndarray], power: float):
-        self._fill, self._power = fill, power
+    def __init__(self, fill: Callable[..., np.ndarray], power: float, extra_rows: int = 0):
+        self._fill, self._power, self._extra = fill, power, extra_rows
 
     def __set_name__(self, owner, name):
         self._slot = "_" + name
 
     def __get__(self, kernel, owner=None):
         if kernel is not None and kernel.__dict__[self._slot] is None:
-            self.__set__(kernel, self._fill(kernel.grid.n, *kernel._unit(self._power)))
+            table = self._fill(kernel.grid.n, *kernel._unit(self._power))
+            table.flags.writeable = False
+            kernel.__dict__[self._slot] = table
         return self if kernel is None else kernel.__dict__[self._slot]
 
     def __set__(self, kernel, table):
         # the field's default is the descriptor itself: left to the first read
-        if table is self:
-            table = None
-        else:
+        if table is not self:
+            n = kernel.grid.n
+            table, shape = np.array(table, dtype=np.float64), (n + self._extra, n)
+            if table.shape != shape:
+                raise ValueError(f"{self._slot[1:]} must have shape {shape}, got {table.shape}")
             table.flags.writeable = False
-        kernel.__dict__[self._slot] = table
+        kernel.__dict__[self._slot] = None if table is self else table
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,7 +234,7 @@ class ReducedKernel:
     sym is held as its leading block sym[:E, :E], rebuilt at the next power
     of two (64 up to n) when a product reads cells past E, from pot[:E, :E]
     if pot is present (so a replaced pot gets its own operator) or else from
-    _pot_table(E): either way the bit-identical prefix of the full operator.
+    pot rows and columns per chunk: bit-identical to the full operator's prefix.
     Every fill runs on the calling thread; one that raises keeps nothing, so
     the next read fills afresh.  The weights never change, but as the tables
     fill on first use, kernels compare by identity.
@@ -222,16 +243,11 @@ class ReducedKernel:
     grid: RadialGrid
     lam: float
     pot: np.ndarray = dataclass_field(default=_LazyTable(_pot_table, 3.0), repr=False)
-    frc: np.ndarray = dataclass_field(default=_LazyTable(_frc_table, 2.0), repr=False)
+    frc: np.ndarray = dataclass_field(default=_LazyTable(_frc_table, 2.0, 1), repr=False)
 
     def __post_init__(self):
         if not (0.0 < self.lam < 1.0):
             raise ValueError(f"kernel power must satisfy 0 < lam < 1, got {self.lam}")
-        n = self.grid.n
-        for name, shape in (("pot", (n, n)), ("frc", (n + 1, n))):
-            table = self.__dict__["_" + name]
-            if table is not None and table.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {table.shape}")
 
     def _unit(self, power: float) -> tuple[float, float]:
         """t = 2 - lam and the factor (2 pi / t) dr^(power - lam) that scales
@@ -251,17 +267,31 @@ class ReducedKernel:
             return block
         size = min(max(64, 1 << (cells - 1).bit_length()), self.grid.n)
         pot = self.__dict__["_pot"]
-        pot = _pot_table(size, *self._unit(3.0)) if pot is None else pot[:size, :size]
+        if pot is None:
+            t, coef = self._unit(3.0)
+            h, windows, windows_t = _pot_windows(size, t)
+        buf = np.empty((4, (min(_CHUNK, size) + 1) * (size + 1)))
         volumes = self.grid.volumes[:size]
-        # in place, so no E x E temporary exists beside pot and the block;
-        # row-major, since an F-ordered block rounds products differently
+        # chunk [c, d) fills sym[c:d, c:] and sym[c:, c:d] from pot[c:d, c:] and
+        # pot[c:, c:d]; row-major, since an F-ordered block rounds differently
         block = np.empty((size, size))
         for c in range(0, size, _CHUNK):
-            rows = block[c : c + _CHUNK]
-            np.multiply(pot.T[c : c + _CHUNK], volumes, out=rows)
-            rows /= volumes[c : c + _CHUNK, None]
-            rows += pot[c : c + _CHUNK]
-            rows *= 0.5
+            d = min(c + _CHUNK, size)
+            tmp, pot_t, pot_rows = (b[: (d - c) * (size - c)].reshape(d - c, size - c)
+                                    for b in buf[1:])
+            if pot is None:
+                _pot_rows(pot_t, buf[:2], windows_t, np.s_[c : d + 1, c:], h[c:size], coef)
+                _pot_rows(pot_rows, buf[:2], windows, np.s_[c:d, c:], h[c:d, None], coef)
+            else:
+                pot_t[...], pot_rows = pot[c:size, c:d].T, pot[c:d, c:size]
+            # sym[c:, c:d].T into tmp, then sym[c:d, c:] over pot_t
+            for out, p, q, v, w in ((tmp, pot_rows, pot_t, volumes[c:d, None], volumes[c:]),
+                                    (pot_t, pot_t, pot_rows, volumes[c:], volumes[c:d, None])):
+                np.multiply(p, v, out=out)
+                out /= w
+                out += q
+                out *= 0.5
+            block[c:, c:d], block[c:d, c:] = tmp.T, pot_t
         block.flags.writeable = False
         self.__dict__["_block"] = block
         return block

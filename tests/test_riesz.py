@@ -2,6 +2,7 @@
 sharp interaction bound, and rearrangement monotonicity."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,22 @@ class TestBuild:
             with pytest.raises(ValueError):
                 riesz.ReducedKernel(grid, LAM, **tables)
 
+    def test_pinned_table_is_a_private_copy(self):
+        grid = RadialGrid(8, 1.0)
+        mine = np.ones((grid.n, grid.n))
+        kernel = riesz.ReducedKernel(grid, LAM, pot=mine)
+        pot, sym = kernel.pot.copy(), kernel.sym.copy()
+        # the caller's array stays theirs: writeable, and writing into it
+        # later moves neither the pinned table nor the operator
+        assert mine.flags.writeable and not kernel.pot.flags.writeable
+        mine[:] = 5.0
+        np.testing.assert_array_equal(kernel.pot, pot)
+        np.testing.assert_array_equal(kernel.sym, sym)
+        # any array-like of the right shape is accepted, as float64
+        listed = riesz.ReducedKernel(grid, LAM, pot=[[1] * grid.n] * grid.n)
+        assert listed.pot.dtype == np.float64
+        np.testing.assert_array_equal(listed.sym, sym)
+
     def test_weights_nonnegative(self, kernel1024):
         assert np.all(kernel1024.pot >= 0.0)
 
@@ -154,8 +171,8 @@ class TestFailedFill:
             def build():
                 return riesz.ReducedKernel(grid, LAM, pot=np.full((grid.n, grid.n), 1e308))
         else:
-            # every pot and frc fill, and an operator block filled from its
-            # own potential rows, looks up _hankel_toeplitz when it runs
+            # every pot and frc fill, and an operator block filled from the
+            # power tables, builds its windows through _hankel_toeplitz
             def faulty(*args):
                 if fault == "raise":
                     raise ArithmeticError("fill failed")
@@ -217,6 +234,33 @@ class TestOperatorBlock:
             np.testing.assert_array_equal(part, full[: len(part)])
             np.testing.assert_array_equal(grown.interaction_matvec(u), full)
         np.testing.assert_array_equal(grown.sym, fresh.sym)
+
+    @pytest.mark.parametrize("lam", [0.2, 0.8, 0.95])
+    @pytest.mark.parametrize("n", [2, 31, 32, 33, 100, 257, 1025])
+    def test_table_fill_matches_pot_derived_block(self, n, lam):
+        # chunks of pot rows and columns from the power tables, partial last
+        # chunks included, give the block derived from a pinned full pot,
+        # and the operator's formula on that pot, bit for bit
+        grid = RadialGrid(n, 4.0)
+        V = grid.volumes
+        filled = build_kernel(grid, lam)
+        pot = riesz._pot_table(n, *filled._unit(3.0))
+        derived = riesz.ReducedKernel(grid, lam, pot=pot)
+        np.testing.assert_array_equal(filled.sym, derived.sym)
+        np.testing.assert_array_equal(filled.sym, 0.5 * (pot + pot.T * V / V[:, None]))
+        assert filled.__dict__["_pot"] is None
+
+    def test_fill_builds_no_square_temporary(self):
+        # an E x E pot beside the block would take the peak to 2x its bytes
+        n = 512
+        kernel = build_kernel(RadialGrid(n, 4.0), LAM)
+        tracemalloc.start()
+        try:
+            kernel._operator(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
 
     def test_build_fills_no_table(self):
         grid = RadialGrid(1140, 9.0)
