@@ -23,9 +23,11 @@ Configuration files are flat key=value text with dotted sections, e.g.
 Each params.*, grid.*, extremal.* and sim.* key is the field of the same
 name on ModelParams, RadialGrid, ExtremalOptions and SimConfig.  Unknown
 keys and bad values are rejected at load (exit 1), before any solve, so
-that typos fail loudly.  CSV numbers are written with 14 significant digits
-and JSON sidecars (all written by _write_json) at full precision; CSV
-bodies are deterministic given the same config and seed.
+that typos fail loudly.  Files go to the --out directory (created if
+missing), else to the working directory; no config key sets it.  CSV
+numbers are written with 14 significant digits and JSON sidecars (all
+written by _write_json) at full precision; CSV bodies are deterministic
+given the same config and seed.
 """
 
 from __future__ import annotations
@@ -91,7 +93,6 @@ class RunConfig:
     init_amplitude: float = 1.0
     init_width: float = 1.0
     init_csv: str = ""
-    out_dir: str = "."
     seed: int = 2357
     selftest_n: int = 256
 
@@ -181,8 +182,8 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _out_dir(cfg: RunConfig, override: str | None) -> Path:
-    out = Path(override) if override else Path(cfg.out_dir)
+def _out_dir(out: str | None) -> Path:
+    out = Path(out or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -201,9 +202,10 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _solve(cfg: RunConfig):
+    """The exponents, the converged maximizer and its thresholds."""
     exps = derive_exponents(cfg.params)
     profile = solve_extremal(exps, cfg.grid, cfg.extremal, init=cfg.extremal_init)
-    return exps, profile
+    return exps, profile, compute_thresholds(profile, exps)
 
 
 def cmd_validate(cfg: RunConfig, out: str | None) -> int:
@@ -218,9 +220,11 @@ def cmd_validate(cfg: RunConfig, out: str | None) -> int:
 
 
 def cmd_extremal(cfg: RunConfig, out: str | None) -> int:
-    out_path = _out_dir(cfg, out)
+    out_path = _out_dir(out)
     try:
-        exps, profile = _solve(cfg)
+        # the profile alone: the thresholds overflow near the top of the m range
+        profile = solve_extremal(derive_exponents(cfg.params), cfg.grid, cfg.extremal,
+                                 init=cfg.extremal_init)
         status = EXIT_OK
     except NoConvergence as exc:
         print(f"no convergence: {exc}", file=sys.stderr)
@@ -244,9 +248,8 @@ def cmd_extremal(cfg: RunConfig, out: str | None) -> int:
 
 
 def cmd_thresholds(cfg: RunConfig, out: str | None) -> int:
-    out_path = _out_dir(cfg, out)
-    exps, profile = _solve(cfg)
-    thr = compute_thresholds(profile, exps)
+    out_path = _out_dir(out)
+    _, _, thr = _solve(cfg)
     _write_json(out_path / "thresholds.json", {**asdict(thr), "timestamp": _timestamp()})
     print(f"x_star = {_fmt(thr.x_star)}")
     print(f"g(x_star) = {_fmt(thr.g_at_xstar)}")
@@ -280,9 +283,8 @@ def _initial_condition(cfg: RunConfig, exps, profile_solver) -> RadialField:
 
 
 def cmd_classify(cfg: RunConfig, out: str | None) -> int:
-    out_path = _out_dir(cfg, out)
-    exps, profile = _solve(cfg)
-    thr = compute_thresholds(profile, exps)
+    out_path = _out_dir(out)
+    exps, profile, thr = _solve(cfg)
     u0 = _initial_condition(cfg, exps, lambda: profile)
     kernel = build_kernel(u0.grid, exps.lam)
     cls = classify(u0, thr, exps, kernel)
@@ -300,7 +302,7 @@ def cmd_classify(cfg: RunConfig, out: str | None) -> int:
 
 
 def cmd_evolve(cfg: RunConfig, out: str | None) -> int:
-    out_path = _out_dir(cfg, out)
+    out_path = _out_dir(out)
     exps = derive_exponents(cfg.params)
     u0 = _initial_condition(cfg, exps, lambda: _solve(cfg)[1])
     kernel = build_kernel(u0.grid, exps.lam)
@@ -319,9 +321,8 @@ def cmd_evolve(cfg: RunConfig, out: str | None) -> int:
 
 
 def cmd_dichotomy(cfg: RunConfig, out: str | None) -> int:
-    out_path = _out_dir(cfg, out)
-    exps, profile = _solve(cfg)
-    thr = compute_thresholds(profile, exps)
+    out_path = _out_dir(out)
+    exps, profile, thr = _solve(cfg)
     wt = _threshold_field(profile, exps)
     kernel = build_kernel(wt.grid, exps.lam)
     summary = []
@@ -414,22 +415,18 @@ def main(argv: list[str] | None = None) -> int:
         print(f"unknown command {command!r}; expected one of {sorted(_COMMANDS)}",
               file=sys.stderr)
         return EXIT_CONFIG
-    config_path = None
-    out_override = None
+    flags = {"--config": None, "--out": None}
     while argv:
         flag = argv.pop(0)
-        if flag == "--config" and argv:
-            config_path = argv.pop(0)
-        elif flag == "--out" and argv:
-            out_override = argv.pop(0)
-        else:
+        if flag not in flags or not argv:
             print(f"unexpected argument {flag!r}", file=sys.stderr)
             return EXIT_CONFIG
-    if config_path is None:
+        flags[flag] = argv.pop(0)
+    if flags["--config"] is None:
         print("missing --config PATH", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        cfg = load_config(config_path)
+        cfg = load_config(flags["--config"])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -438,7 +435,7 @@ def main(argv: list[str] | None = None) -> int:
             # one line per warning, without its category and source location
             warnings.showwarning = lambda message, *_, **__: print(
                 f"warning: {message}", file=sys.stderr)
-            return _COMMANDS[command](cfg, out_override)
+            return _COMMANDS[command](cfg, flags["--out"])
     except RegimeError as exc:
         print(f"regime error: {exc}", file=sys.stderr)
         return EXIT_REGIME

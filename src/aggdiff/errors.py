@@ -18,7 +18,7 @@ class UnsupportedDimension(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """Iterative solver hit its iteration budget; best iterate is attached."""
+    """Iterative solver ended without a valid result; best iterate is attached."""
 
     def __init__(self, message: str, profile=None):
         self.profile = profile

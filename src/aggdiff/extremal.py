@@ -34,7 +34,7 @@ from .field import (
     scale_field,
 )
 from .functionals import Thresholds, xstar_threshold
-from .params import Exponents
+from .params import Exponents, hls_sharp_constant
 # interaction, rearrange_decreasing: unused here; the benchmark's tracer wraps them
 from .riesz import ReducedKernel, build_kernel, interaction, potential_symmetric
 
@@ -147,7 +147,9 @@ def solve_extremal(
     The solve stops at the first accepted update whose stationarity residual
     is at most tol_res.  Raises NoConvergence (with the best profile
     attached) if an update would lower the quotient by more than 1e-12
-    relative, or if the iteration budget runs out first.
+    relative, if the iteration budget runs out first, or if the converged
+    constant exceeds the sharp bound hls_sharp_constant(d, lam), which no
+    maximizer can (Hoelder interpolation): such a constant is a grid artefact.
     """
     if exps.d != 3:
         raise UnsupportedDimension("the radial maximizer solver requires d = 3")
@@ -159,6 +161,7 @@ def solve_extremal(
     j_hist = [c_k]
     converged = False
     fall = 0.0
+    c_hls = hls_sharp_constant(exps.d, exps.lam)
 
     for it in range(1, opts.max_iter + 1):
         # Keep the support comfortably inside the domain and resolved: the
@@ -181,7 +184,7 @@ def solve_extremal(
         w, phi, c_k = trial, phi_new, c_new
         j_hist.append(c_k)
         if _residual(w, phi, c_k, exps) <= opts.tol_res:
-            converged = True
+            converged = c_k <= c_hls
             break
 
     profile = ExtremalProfile(
@@ -197,6 +200,9 @@ def solve_extremal(
         why = f"iteration budget of {opts.max_iter} spent after {it} iterations"
         if fall:
             why = f"iteration {it} lowers the quotient by {fall:.3e} relative"
+        elif profile.el_residual <= opts.tol_res:
+            why = (f"iteration {it} converges to cstar {c_k:.6g} = {c_k / c_hls:.4f} C_HLS, "
+                   f"above the sharp bound C_HLS(d, lam) = {c_hls:.6g}")
         raise NoConvergence(f"{why} (residual {profile.el_residual:.3e})",
                             profile=profile)
     return profile

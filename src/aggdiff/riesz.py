@@ -231,6 +231,10 @@ class ReducedKernel:
     pot and frc are filled in full on first read unless passed in (as by
     dataclasses.replace), which pins them; a pinned table must have the
     shape above, and lam must satisfy 0 < lam < 1 (ValueError otherwise).
+    dataclasses.replace(kernel, pot=...) reads every table field of the
+    source, so it fills any table not yet read (frc: 10 MB at n = 1140) and
+    the new kernel pins its own copy of it.  The benchmark's corrupt-kernel
+    gate and tests/test_cli.py take this path; no scored workload does.
     sym is held as its leading block sym[:E, :E], rebuilt at the next power
     of two (64 up to n) when a product reads cells past E, from pot[:E, :E]
     if pot is present (so a replaced pot gets its own operator) or else from

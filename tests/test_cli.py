@@ -36,7 +36,7 @@ CONFIG_KEYS = {
     "sim.t_end", "sim.cfl", "sim.blowup_factor", "sim.record_every",
     "experiment.kappas",
     "init.kind", "init.kappa", "init.amplitude", "init.width", "init.csv",
-    "out.dir", "seed", "selftest.n",
+    "seed", "selftest.n",
 }
 THRESHOLD_KEYS = ["x_star", "g_at_xstar", "cstar", "timestamp"]
 PROFILE_KEYS = ["cstar", "support_radius", "el_residual", "iterations",
@@ -176,11 +176,13 @@ class TestConfig:
         cfg = write_cfg(tmp_path, f"init.kind = csv\ninit.csv = {csv}\n")
         assert load_config(cfg).init_csv == str(csv)
 
-    @pytest.mark.parametrize("key", ["params.zz", "params.eps"])
-    def test_unknown_key_rejected(self, tmp_path, key):
+    # out.dir: a removed key, --out is the one output setting
+    @pytest.mark.parametrize("key", ["params.zz", "params.eps", "out.dir"])
+    def test_unknown_key_rejected(self, tmp_path, capsys, key):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"{key} = 1\n")
         assert main(["validate", "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"unknown key {key!r}" in capsys.readouterr().err
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -249,6 +251,16 @@ class TestExtremal:
         assert sidecar["converged"] is False
         assert (out / "extremal_profile.csv").exists()
 
+    def test_constant_above_sharp_bound_still_written(self, tmp_path):
+        cfg = write_cfg(tmp_path, "params.m = 1.155\ngrid.n = 256\n")
+        out = tmp_path / "out"
+        code = main(["extremal", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_NO_CONVERGENCE
+        sidecar = json.loads((out / "extremal_profile.json").read_text())
+        assert sidecar["converged"] is False
+        assert sidecar["cstar"] > 1.9107373657  # C_HLS at lam = 0.8
+        assert (out / "extremal_profile.csv").exists()
+
     def test_regime_violation_exit_code(self, tmp_path):
         cfg = tmp_path / "r.cfg"
         cfg.write_text("params.m = 1.3\n")
@@ -258,6 +270,14 @@ class TestExtremal:
 
 
 class TestThresholds:
+    def test_writes_to_working_directory_without_out(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(["thresholds", "--config", str(cfg)]) == EXIT_OK
+        assert [p.name for p in work.iterdir()] == ["thresholds.json"]
+
     def test_json_payload(self, tmp_path):
         cfg = write_cfg(tmp_path)
         out = tmp_path / "out"
@@ -363,6 +383,15 @@ class TestDichotomy:
         assert (out / "trace_kappa_0.8.csv").exists()
         assert (out / "trace_kappa_1.2.csv").exists()
 
+
+    def test_constant_above_sharp_bound_exits_3(self, tmp_path, capsys):
+        # the solver's stationary point sits at 1.0098 C_HLS here: no kappa leg runs
+        cfg = write_cfg(tmp_path, "params.m = 1.155\ngrid.n = 256\n")
+        out = tmp_path / "out"
+        code = main(["dichotomy", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_NO_CONVERGENCE
+        assert "above the sharp bound" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_close_kappas_keep_separate_traces(self, tmp_path):
         # the two amplitudes agree to six significant digits

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from aggdiff import (
+    ModelParams,
     NoConvergence,
     NotConverged,
     RadialGrid,
     ZeroField,
     build_kernel,
     compute_thresholds,
+    derive_exponents,
     el_residual,
     field_from_values,
     free_energy,
@@ -40,6 +42,21 @@ class TestSolve:
 
     def test_cstar_below_sharp_constant(self, exps, profile_n512):
         assert profile_n512.cstar <= hls_sharp_constant(exps.d, exps.lam)
+        ratio = profile_n512.cstar / hls_sharp_constant(exps.d, exps.lam)
+        assert abs(ratio - 0.9804) <= 1e-4
+
+    @pytest.mark.parametrize("s,m", [(1.1, 1.155), (1.3, 1.0745)])
+    def test_constant_above_sharp_bound_raises(self, s, m):
+        # the collocated kernel's cell-0 excess lets a cell-0 spike reach a
+        # stationary point above C_HLS (1.0098 and 1.0038 C_HLS at n = 256);
+        # Hoelder interpolation rules such a constant out
+        e = derive_exponents(ModelParams(3, s, m))
+        with pytest.raises(NoConvergence, match="above the sharp bound") as err:
+            solve_extremal(e, RadialGrid(256, 4.0))
+        best = err.value.profile
+        assert not best.converged
+        assert best.el_residual <= 1e-4
+        assert best.cstar > hls_sharp_constant(3, e.lam)
 
     def test_cstar_equals_quotient_of_w(self, exps, profile_n512):
         kernel = build_kernel(profile_n512.w.grid, exps.lam)
