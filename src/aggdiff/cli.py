@@ -68,7 +68,6 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_CHECK_FAILED = 4
 
 _INIT_KINDS = ("threshold_scaled", "gaussian", "ball", "csv")
-_EXTREMAL_INITS = ("bump", "gaussian")  # the starting profiles of solve_extremal
 
 
 @dataclass
@@ -83,7 +82,6 @@ class RunConfig:
     params: ModelParams = dataclass_field(default_factory=lambda: ModelParams(3, 1.1, 1.2))
     grid: RadialGrid = dataclass_field(default_factory=lambda: RadialGrid(512, 4.0))
     extremal: ExtremalOptions = dataclass_field(default_factory=ExtremalOptions)
-    extremal_init: str = "bump"
     sim: SimConfig = dataclass_field(
         default_factory=lambda: SimConfig(t_end=50.0, record_every=200)
     )
@@ -109,9 +107,6 @@ class RunConfig:
             except (OSError, ValueError) as exc:
                 raise ValueError(f"init.kind = csv needs init.csv naming a field CSV; "
                                  f"{self.init_csv!r}: {exc}") from exc
-        if self.extremal_init not in _EXTREMAL_INITS:
-            raise ValueError(f"unknown extremal.init {self.extremal_init!r}; "
-                             f"expected one of {', '.join(_EXTREMAL_INITS)}")
         if not self.experiment_kappas:
             raise ValueError("experiment.kappas is empty")
         if not all(0.0 <= k < np.inf for k in self.experiment_kappas):
@@ -204,7 +199,7 @@ def _write_json(path: Path, payload: dict) -> None:
 def _solve(cfg: RunConfig):
     """The exponents, the converged maximizer and its thresholds."""
     exps = derive_exponents(cfg.params)
-    profile = solve_extremal(exps, cfg.grid, cfg.extremal, init=cfg.extremal_init)
+    profile = solve_extremal(exps, cfg.grid, cfg.extremal)
     return exps, profile, compute_thresholds(profile, exps)
 
 
@@ -223,8 +218,7 @@ def cmd_extremal(cfg: RunConfig, out: str | None) -> int:
     out_path = _out_dir(out)
     try:
         # the profile alone: the thresholds overflow near the top of the m range
-        profile = solve_extremal(derive_exponents(cfg.params), cfg.grid, cfg.extremal,
-                                 init=cfg.extremal_init)
+        profile = solve_extremal(derive_exponents(cfg.params), cfg.grid, cfg.extremal)
         status = EXIT_OK
     except NoConvergence as exc:
         print(f"no convergence: {exc}", file=sys.stderr)

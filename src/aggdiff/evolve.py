@@ -298,8 +298,7 @@ def run(
         try:
             u_probe, dt_rule = step(u, kernel, exps, cfg)
         except NonFiniteValue:
-            outcome = Outcome.INCONCLUSIVE
-            break
+            break  # Inconclusive
         if t + dt_rule == t:
             # the step-size rule collapsed; growing sup norm means focusing
             if lp_norm(u, np.inf) > focusing:
@@ -307,10 +306,9 @@ def run(
             break
         if t + dt_rule > cfg.t_end:
             # retake the final step exactly to the horizon
-            u_new, dt = step(u, kernel, exps, cfg, dt=cfg.t_end - t)
+            u, dt = step(u, kernel, exps, cfg, dt=cfg.t_end - t)
         else:
-            u_new, dt = u_probe, dt_rule
-        u = u_new
+            u, dt = u_probe, dt_rule
         t += dt
         nstep += 1
 

@@ -51,21 +51,30 @@ __all__ = [
 _SUPPORT_CUTOFF = 1e-12
 # the weight of the raw update in each damped fixed-point step
 _DAMPING = 0.5
+# the values of ExtremalOptions.init: starting profiles in r, r0 = r_max / 4 and m
+_INITS = {
+    "bump": lambda r, r0, m: np.maximum(1.0 - (r / r0) ** 2, 0.0) ** (1.0 / (m - 1.0)),
+    "gaussian": lambda r, r0, m: np.exp(-((r / r0) ** 2)),
+}
 
 
 @dataclass(frozen=True)
 class ExtremalOptions:
-    """Solver knobs: the stationarity residual at which the solve stops and
-    the iteration budget."""
+    """Solver knobs: the stationarity residual at which the solve stops, the
+    iteration budget and the starting profile on the grid (_INITS)."""
 
     tol_res: float = 1e-4
     max_iter: int = 800
+    init: str = "bump"
 
     def __post_init__(self):
         if not 0.0 < self.tol_res < np.inf:
             raise ValueError("tol_res must be positive and finite")
         if not self.max_iter >= 1:
             raise ValueError("max_iter must be at least 1")
+        if self.init not in _INITS:
+            raise ValueError(f"unknown extremal.init {self.init!r}; "
+                             f"expected one of {', '.join(_INITS)}")
 
 
 @dataclass(frozen=True)
@@ -122,28 +131,14 @@ def _phi_and_h(w: RadialField, kernel: ReducedKernel) -> tuple[np.ndarray, float
     return phi, float((w.values * w.grid.volumes) @ phi)
 
 
-def _initial_field(grid: RadialGrid, kind: str, exps: Exponents) -> RadialField:
-    r0 = grid.r_max / 4.0
-    if kind == "bump":
-        expo = 1.0 / (exps.m - 1.0)
-        return field_from_function(
-            grid, lambda r: np.maximum(1.0 - (r / r0) ** 2, 0.0) ** expo
-        )
-    if kind == "gaussian":
-        return field_from_function(grid, lambda r: np.exp(-((r / r0) ** 2)))
-    raise ValueError(f"unknown initialization {kind!r}")
-
-
 def solve_extremal(
     exps: Exponents,
     grid: RadialGrid,
     opts: ExtremalOptions | None = None,
-    init: str = "bump",
 ) -> ExtremalProfile:
-    """Compute the quotient maximizer by damped fixed-point iteration.
+    """Compute the quotient maximizer by damped fixed-point iteration from
+    the starting profile opts.init on grid.
 
-    init names the starting profile on grid: "bump", (1 - (r/r0)^2)_+^(1/(m-1)),
-    or "gaussian", exp(-(r/r0)^2), with r0 = grid.r_max / 4.
     The solve stops at the first accepted update whose stationarity residual
     is at most tol_res.  Raises NoConvergence (with the best profile
     attached) if an update would lower the quotient by more than 1e-12
@@ -156,7 +151,8 @@ def solve_extremal(
     opts = opts or ExtremalOptions()
 
     kernel = build_kernel(grid, exps.lam)
-    w, _, _ = normalize_both_norms(_initial_field(grid, init, exps), exps)
+    start = field_from_function(grid, lambda r: _INITS[opts.init](r, grid.r_max / 4.0, exps.m))
+    w, _, _ = normalize_both_norms(start, exps)
     phi, c_k = _phi_and_h(w, kernel)
     j_hist = [c_k]
     converged = False
@@ -212,14 +208,15 @@ def threshold_profile(profile: ExtremalProfile, exps: Exponents) -> RadialField:
     """The member alpha * W(lam x) of the maximizer family that sits exactly
     at the barrier maximum: ||.||_1^a ||.||_m^m = x_star, with sup-norm one
     for numerical conditioning.  Exact because the rescaling is exact."""
-    if not profile.converged:
-        raise NotConverged("threshold profile requires a converged maximizer")
-    thr = xstar_threshold(exps, profile.cstar)
+    thr = compute_thresholds(profile, exps)
     w_inf = lp_norm(profile.w, np.inf)
     alpha = 1.0 / w_inf
-    # product(alpha * W(lam x)) = alpha^(a+m) lam^(-d(a+1)) for unit-norm W
+    # product(alpha * W(lam x)) = alpha^(a+m) lam^(-d(a+1)) for unit-norm W;
+    # the root is taken factor by factor where their product overflows
     d_a1 = exps.d * (exps.a + 1.0)
     lam = (thr.x_star * w_inf ** (exps.a + exps.m)) ** (-1.0 / d_a1)
+    if lam == 0.0:
+        lam = thr.x_star ** (-1.0 / d_a1) * w_inf ** (-(exps.a + exps.m) / d_a1)
     return scale_field(profile.w, alpha, lam)
 
 

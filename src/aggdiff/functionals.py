@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroField
+from .errors import RegimeError, ZeroField
 from .field import RadialField, lp_norm, mass, second_moment
 from .params import Exponents
 # force has no caller here; the benchmark's tracer wraps functionals.force
@@ -171,12 +171,23 @@ def barrier_g(x: float, exps: Exponents, cstar: float) -> float:
     return float(out) if out.ndim == 0 else out
 
 
+def _power(x: float, p: float, name: str, exps: Exponents) -> float:
+    """x**p of floats; RegimeError past float64 (1/(beta - 1) and a grow as m -> 2 - 2s/d)."""
+    try:
+        return x**p
+    except OverflowError:
+        raise RegimeError(f"{name} overflows float64: m = {exps.m} lies too close to "
+                          f"2 - 2s/d = {2.0 - 2.0 * exps.s / exps.d:.6g}") from None
+
+
 def xstar_threshold(exps: Exponents, cstar: float) -> Thresholds:
-    """Maximizer of the barrier and its value, both positive for beta > 1."""
+    """Maximizer of the barrier and its value, both positive for beta > 1.
+    Raises RegimeError if x_star overflows float64."""
     if cstar <= 0.0:
         raise ValueError("cstar must be positive")
     beta, m = exps.beta, exps.m
-    x_star = (2.0 / ((m - 1.0) * exps.c_ds * cstar * beta)) ** (1.0 / (beta - 1.0))
+    x_star = _power(2.0 / ((m - 1.0) * exps.c_ds * cstar * beta), 1.0 / (beta - 1.0),
+                    "x_star", exps)
     g_star = x_star * (beta - 1.0) / ((m - 1.0) * beta)
     return Thresholds(x_star=float(x_star), g_at_xstar=float(g_star), cstar=float(cstar))
 
@@ -192,15 +203,17 @@ def dissipation(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> float
 
 
 def energy_report(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> EnergyReport:
-    """Assemble all scalar functionals of u in one pass."""
+    """Assemble all scalar functionals of u in one pass.  Raises RegimeError
+    if ||u||_1^a overflows float64."""
     m = exps.m
     n1 = mass(u)
+    n1_a = _power(n1, exps.a, "||u||_1^a", exps)
     nm = lp_norm(u, m)
     entropy = nm**m / (m - 1.0)
     h = interaction(u, kernel)
     inter = 0.5 * exps.c_ds * h
     fe = entropy - inter
-    product = n1**exps.a * nm**m
+    product = n1_a * nm**m
     return EnergyReport(
         entropy_term=entropy,
         interaction_term=inter,
@@ -208,7 +221,7 @@ def energy_report(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> Ene
         mass=n1,
         lm_norm=nm,
         product=product,
-        barrier=n1**exps.a * fe,
+        barrier=n1_a * fe,
         vhls_quotient=h / (n1**exps.a0 * nm**exps.b0) if n1 > 0 else float("nan"),
         second_moment=second_moment(u),
     )

@@ -13,7 +13,8 @@ The per-pair weights form dense tables, filled on first use, making
 potential evaluation a matrix-vector product.  The interaction operator is
 stored pre-symmetrized as one leading block [0, E), grown by powers of two
 to the cells a product reads, and applied only to the support of the
-density: a density on 150 of 1,140 cells costs a 256 x 256 block.
+density: a density on 150 of 1,140 cells costs a 256 x 256 block, whose
+square [0, e) alone gives its interaction energy, e the support extent.
 
 On the uniform grid the tables are assembled in unit coordinates (radii
 divided by dr).  Targets sit at the cell centres i + 1/2 (potential) or the
@@ -375,17 +376,13 @@ def interaction(u: RadialField, kernel: ReducedKernel) -> float:
     """Interaction energy h(u) = iint u(x) u(y) |x - y|^(-lam) dx dy (no
     prefactor): an exactly symmetric, nonnegative quadratic form in u.
 
-    phi is computed on the support's cells rounded up to a multiple of 8,
-    then zero-padded: this keeps h bit-identical to the product over all
-    cells, as BLAS matrix-vector kernels sum rows in groups (of 4 in x86-64
-    OpenBLAS, split evenly between two threads) and a dot product over the
-    support alone would regroup its sum."""
+    Computed on the support [0, e) alone, e its extent, as (u V)[:e] .
+    (sym[:e, :e] u[:e]); its last bit may differ from a product over more
+    rows, as BLAS groups a matrix-vector product's rows by row and thread count."""
     fac = _scale_factor(kernel, u.grid, 0.0)
-    extent = _support_extent(u.values)
-    rows = min(-(-extent // 8) * 8, u.grid.n)
-    phi = np.zeros(u.grid.n)
-    phi[:rows] = kernel.interaction_matvec(u.values, rows=rows, extent=extent)
-    return float(fac * ((u.values * u.grid.volumes) @ phi))
+    e = _support_extent(u.values)
+    phi = kernel.interaction_matvec(u.values, rows=e, extent=e)
+    return float(fac * ((u.values[:e] * u.grid.volumes[:e]) @ phi))
 
 
 def potential_at(u: RadialField, r_targets: np.ndarray, lam: float) -> np.ndarray:

@@ -8,6 +8,7 @@ import numpy as np
 
 import aggdiff as ag
 from aggdiff import (
+    ExtremalOptions,
     Outcome,
     RadialGrid,
     SimConfig,
@@ -102,7 +103,8 @@ def test_criterion_04_scale_invariance(exps):
 
 def test_criterion_05_extremal_convergence(exps, profile_n1024):
     p_bump = profile_n1024
-    p_gauss = solve_extremal(exps, RadialGrid(1024, 4.0), init="gaussian")
+    p_gauss = solve_extremal(exps, RadialGrid(1024, 4.0),
+                             ExtremalOptions(init="gaussian"))
     dj = abs(p_bump.cstar - p_gauss.cstar) / p_bump.cstar
     assert dj <= 1e-4
     assert p_bump.el_residual <= 1e-4 and p_gauss.el_residual <= 1e-4

@@ -269,6 +269,26 @@ class TestExtremal:
             == EXIT_REGIME
 
 
+class TestOverflowNearTopOfMRange:
+    # s = 1.1, m = 1.266: the solve converges, but x_star and ||u||_1^a
+    # (a = 291.6) pass float64's range, which is a regime error
+    @pytest.mark.parametrize("command", ["thresholds", "classify", "dichotomy", "selftest"])
+    def test_regime_error_exit_code(self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path, "params.m = 1.266\ngrid.n = 256\nselftest.n = 64\n")
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == EXIT_REGIME
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("regime error: ")
+        assert "overflows float64" in err[0] and "2 - 2s/d" in err[0]
+
+    def test_extremal_still_writes_profile(self, tmp_path):
+        cfg = write_cfg(tmp_path, "params.m = 1.266\ngrid.n = 256\n")
+        out = tmp_path / "out"
+        assert main(["extremal", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "extremal_profile.json").read_text())["converged"] is True
+        assert (out / "extremal_profile.csv").exists()
+
+
 class TestThresholds:
     def test_writes_to_working_directory_without_out(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path)

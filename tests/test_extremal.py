@@ -72,7 +72,8 @@ class TestSolve:
         assert np.all(w.values[beyond] <= 1e-12 * w.values.max())
 
     def test_two_initializations_agree(self, exps, profile_n1024):
-        p_gauss = solve_extremal(exps, RadialGrid(1024, 4.0), init="gaussian")
+        p_gauss = solve_extremal(exps, RadialGrid(1024, 4.0),
+                                 ExtremalOptions(init="gaussian"))
         rel = abs(p_gauss.cstar - profile_n1024.cstar) / profile_n1024.cstar
         assert rel <= 1e-4
 
@@ -157,6 +158,7 @@ class TestSolve:
             {"tol_res": np.inf},
             {"tol_res": np.nan},
             {"tol_res": 0.0},
+            {"init": "nope"},
         ],
     )
     def test_invalid_options_rejected(self, kwargs):
@@ -227,6 +229,16 @@ class TestThresholdProfile:
             threshold_profile(broken, exps)
         with pytest.raises(NotConverged):
             compute_thresholds(broken, exps)
+
+    def test_scale_found_where_its_product_overflows(self):
+        # m = 1.265: x_star is 2.5e262 and ||W||_inf^(a+m) 8e87, so their
+        # product overflows, but the profile's length scale does not
+        import aggdiff as ag
+        e = ag.derive_exponents(ag.ModelParams(3, 1.1, 1.265))
+        profile = solve_extremal(e, RadialGrid(256, 4.0))
+        wt = threshold_profile(profile, e)
+        product = mass(wt) ** e.a * lp_norm(wt, e.m) ** e.m
+        assert abs(product / compute_thresholds(profile, e).x_star - 1.0) <= 1e-10
 
 
 class TestThresholds:

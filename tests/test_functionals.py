@@ -167,6 +167,19 @@ class TestBarrier:
         # beta = 4/3 gives x* ~ cstar^-3: a 1% increase shrinks x* by ~3%
         assert abs(x2 / x1 - 1.01 ** (-3.0)) <= 1e-10
 
+    def test_overflow_near_top_of_m_range_is_a_regime_error(self):
+        # s = 1.1, m = 1.266 of a range ending at 1.2667: beta - 1 = 0.0025,
+        # so x_star = base^(1/(beta - 1)) is past float64 at the solved cstar
+        exps = ag.derive_exponents(ag.ModelParams(3, 1.1, 1.266))
+        with pytest.raises(ag.RegimeError, match=r"x_star overflows float64.*2 - 2s/d"):
+            xstar_threshold(exps, 1.8407)
+        # and so is ||u||_1^a (a = 291.6) for a density of mass above 12
+        u = field_from_function(RadialGrid(64, 4.0), lambda r: np.exp(-r**2))
+        u = u.with_values(10.0 * u.values)
+        kernel = build_kernel(u.grid, exps.lam)
+        with pytest.raises(ag.RegimeError, match=r"\|\|u\|\|_1\^a overflows float64"):
+            energy_report(u, exps, kernel)
+
 
 class TestDissipation:
     def test_constant_field_zero_interaction(self, exps, grid, kernel):

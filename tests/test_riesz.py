@@ -282,17 +282,27 @@ class TestOperatorBlock:
         held = sum(a.nbytes for a in vars(kernel).values() if isinstance(a, np.ndarray))
         assert wt.grid.n == 1140 and held < 2**20
 
-    @pytest.mark.parametrize("extent", [1, 19, 58])
-    def test_interaction_matches_full_rows(self, extent):
-        # products small enough for BLAS to run on one thread; at 19 and 58
-        # cells h moves in its last bit if phi is computed on the support's
-        # rows alone, the last of which then fall in a partial row group
-        grid = RadialGrid(128, 4.0)
+    @pytest.mark.parametrize("n, r_max, extent", [
+        pytest.param(128, 4.0, 1, id="1"),
+        pytest.param(128, 4.0, 19, id="19"),
+        pytest.param(128, 4.0, 58, id="58"),
+        pytest.param(1140, 9.0, 596, id="596"),
+    ])
+    def test_interaction_matches_full_rows(self, n, r_max, extent):
+        # h is the product on the support [0, e) alone, on the build grid and
+        # on one twice as long (fac = 2^(3 - lam)); the full-row product sums
+        # in another order, so it agrees to roundoff only
+        grid = RadialGrid(n, r_max)
         kernel = build_kernel(grid, LAM)
-        u = np.zeros(grid.n)
+        u = np.zeros(n)
         u[:extent] = np.random.default_rng(extent).random(extent) + 0.1
-        full = (u * grid.volumes) @ (kernel.sym[:, :extent] @ u[:extent])
-        assert interaction(field_from_values(grid, u), kernel) == full
+        for fac, on in ((1.0, grid), (2.0 ** (3.0 - LAM), RadialGrid(n, 2.0 * r_max))):
+            h = interaction(field_from_values(on, u), kernel)
+            uv = u * on.volumes
+            sym = kernel.sym
+            assert h == fac * (uv[:extent] @ (sym[:extent, :extent] @ u[:extent]))
+            full = fac * (uv @ (sym[:, :extent] @ u[:extent]))
+            assert abs(h - full) <= 1e-15 * full
 
     def test_identity_equality(self):
         grid = RadialGrid(64, 4.0)
