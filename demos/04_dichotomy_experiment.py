@@ -62,7 +62,7 @@ for kappa in (0.8, 1.2):
     side = "below" if rep.stayed_below else ("above" if rep.stayed_above else "crossed")
     print(f"    invariant product stayed {side} x_star "
           f"(range {rep.min_ratio:.4f} .. {rep.max_ratio:.4f})")
-    print(f"  run bears out the verdict: {agrees(cls, trace, rep)}")
+    print(f"  run bears out the verdict: {agrees(cls, trace, rep).value}")
     trace_to_csv(trace, f"trace_kappa_{kappa:g}.csv")
     print(f"    wrote trace_kappa_{kappa:g}.csv")
 

@@ -7,7 +7,8 @@ and integrates the radial flow with conservation, energy, and second-moment
 diagnostics.
 """
 
-from .classify import BarrierReport, Classification, Verdict, agrees, barrier_check, classify
+from .classify import (Agreement, BarrierReport, Classification, Verdict, agrees,
+                       barrier_check, classify)
 from .errors import (
     GridMismatch,
     NoConvergence,
@@ -80,7 +81,6 @@ from .riesz import (
     interaction,
     potential,
     potential_at,
-    potential_symmetric,
 )
 
 __version__ = "0.1.0"

@@ -24,13 +24,24 @@ from .functionals import Thresholds, energy_report
 from .params import Exponents
 from .riesz import ReducedKernel
 
-__all__ = ["Verdict", "Classification", "classify", "agrees", "barrier_check", "BarrierReport"]
+__all__ = ["Verdict", "Agreement", "Classification", "classify", "agrees", "barrier_check",
+           "BarrierReport"]
+
+# the slack on t_virial: the scheme's M2 rate meets the virial identity to
+# 2%, so M2 falls at 0.98 delta or more and blows up before t_virial / 0.98
+_VIRIAL_SLACK = 1.05
 
 
 class Verdict(str, Enum):
     GLOBAL_EXISTENCE = "GlobalExistence"
     FINITE_TIME_BLOWUP = "FiniteTimeBlowup"
     INDETERMINATE = "Indeterminate"
+
+
+class Agreement(str, Enum):
+    AGREES = "agrees"
+    UNDECIDED = "undecided"
+    DISAGREES = "disagrees"
 
 
 @dataclass(frozen=True)
@@ -40,7 +51,13 @@ class Classification:
     margins holds the signed relative distances to the two thresholds:
     product_margin = (x_star - product)/x_star (positive: below threshold),
     energy_margin = (g_at_xstar - energy_lhs)/|g_at_xstar| (positive: the
-    energy hypothesis holds).
+    energy hypothesis holds).  For a FiniteTimeBlowup verdict, delta is the
+    least rate at which the second moment falls,
+
+        delta = -[2(d-2s) F(u0) + (2d - 2(d-2s)/(m-1)) x_star / ||u0||_1^a],
+
+    positive by the energy hypothesis, and t_virial = M2(u0) / delta bounds
+    the blow-up time; both are None for the other verdicts.
     """
 
     verdict: Verdict
@@ -51,6 +68,8 @@ class Classification:
     g_at_xstar: float
     product_margin: float
     energy_margin: float
+    delta: float | None = None
+    t_virial: float | None = None
 
 
 def classify(
@@ -81,6 +100,15 @@ def classify(
     else:
         verdict = Verdict.FINITE_TIME_BLOWUP
 
+    delta = t_virial = None
+    if verdict is Verdict.FINITE_TIME_BLOWUP:
+        # M2' = 2(d-2s) F + (2d - 2(d-2s)/(m-1)) ||u||_m^m, with F <= F(u0)
+        # and ||u||_m^m >= x_star / ||u0||_1^a while the product stays above
+        lam = exps.d - 2.0 * exps.s
+        delta = -(2.0 * lam * rep.free_energy
+                  + (2.0 * exps.d - 2.0 * lam / (exps.m - 1.0)) * x_star / rep.mass**exps.a)
+        t_virial = rep.second_moment / delta
+
     return Classification(
         verdict=verdict,
         energy_ok=energy_ok,
@@ -90,6 +118,8 @@ def classify(
         g_at_xstar=g_star,
         product_margin=float(product_margin),
         energy_margin=float(energy_margin),
+        delta=delta,
+        t_virial=t_virial,
     )
 
 
@@ -122,13 +152,21 @@ def barrier_check(trace: SimTrace, thresholds: Thresholds, exps: Exponents) -> B
     )
 
 
-def agrees(cls: Classification, trace: SimTrace, barrier: BarrierReport) -> bool:
+def agrees(cls: Classification, trace: SimTrace, barrier: BarrierReport) -> Agreement:
     """Whether a run bears out its verdict: GlobalExistence needs a run that
     completed bounded with the product below x_star throughout,
-    FiniteTimeBlowup a detected blow-up with the product above it.
-    Indeterminate makes no prediction, so every run agrees with it."""
+    FiniteTimeBlowup a detected blow-up with the product above it.  A
+    blow-up leg that completed bounded with the product above x_star, but
+    ended before _VIRIAL_SLACK * t_virial, is undecided: its horizon was too
+    short to tell.  Indeterminate makes no prediction, so every run agrees
+    with it."""
     if cls.verdict is Verdict.GLOBAL_EXISTENCE:
-        return trace.outcome is Outcome.COMPLETED_BOUNDED and barrier.stayed_below
-    if cls.verdict is Verdict.FINITE_TIME_BLOWUP:
-        return trace.outcome is Outcome.BLOWUP_DETECTED and barrier.stayed_above
-    return True
+        ok = trace.outcome is Outcome.COMPLETED_BOUNDED and barrier.stayed_below
+    elif cls.verdict is Verdict.FINITE_TIME_BLOWUP:
+        if trace.outcome is Outcome.COMPLETED_BOUNDED and barrier.stayed_above \
+                and trace.t[-1] < _VIRIAL_SLACK * cls.t_virial:
+            return Agreement.UNDECIDED
+        ok = trace.outcome is Outcome.BLOWUP_DETECTED and barrier.stayed_above
+    else:
+        ok = True
+    return Agreement.AGREES if ok else Agreement.DISAGREES

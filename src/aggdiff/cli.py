@@ -2,7 +2,8 @@
 and file output.
 
 Commands (exit codes: 0 ok, 1 config error, 2 regime error, 3 no
-convergence, 4 selftest/experiment failure):
+convergence, 4 selftest failure or a dichotomy run that disagrees with its
+verdict):
 
     aggdiff validate   --config PATH            print the derived exponents
     aggdiff extremal   --config PATH [--out D]  solve and export the maximizer
@@ -41,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import agrees, barrier_check, classify
+from .classify import Agreement, agrees, barrier_check, classify
 from .errors import NoConvergence, RegimeError
 from .evolve import SimConfig, run, trace_to_csv
 from .extremal import (
@@ -326,7 +327,7 @@ def cmd_dichotomy(cfg: RunConfig, out: str | None) -> int:
         trace = run(u0, cfg.sim, kernel, exps)
         trace_to_csv(trace, out_path / f"trace_kappa_{kappa!r}.csv")
         barrier = barrier_check(trace, thr, exps)
-        consistent = agrees(cls, trace, barrier)
+        agreement = agrees(cls, trace, barrier).value
         summary.append(
             {
                 "kappa": kappa,
@@ -336,16 +337,19 @@ def cmd_dichotomy(cfg: RunConfig, out: str | None) -> int:
                 "product_over_x_star": cls.product / thr.x_star,
                 "barrier_max_ratio": barrier.max_ratio,
                 "barrier_min_ratio": barrier.min_ratio,
-                "consistent": consistent,
+                "delta": cls.delta,
+                "t_virial": cls.t_virial,
+                "agreement": agreement,
             }
         )
         print(
             f"kappa={kappa:g}: verdict {cls.verdict.value}, outcome "
-            f"{trace.outcome.value}, consistent={consistent}"
+            f"{trace.outcome.value}, agreement {agreement}"
         )
     _write_json(out_path / "dichotomy.json",
                 {**asdict(thr), "rows": summary, "timestamp": _timestamp()})
-    return EXIT_OK if all(row["consistent"] for row in summary) else EXIT_CHECK_FAILED
+    disagree = any(row["agreement"] == Agreement.DISAGREES for row in summary)
+    return EXIT_CHECK_FAILED if disagree else EXIT_OK
 
 
 def _selftest_checks(cfg: RunConfig):

@@ -36,7 +36,7 @@ from .field import (
 from .functionals import Thresholds, xstar_threshold
 from .params import Exponents, hls_sharp_constant
 # interaction, rearrange_decreasing: unused here; the benchmark's tracer wraps them
-from .riesz import ReducedKernel, build_kernel, interaction, potential_symmetric
+from .riesz import ReducedKernel, build_kernel, interaction, potential
 
 __all__ = [
     "ExtremalOptions",
@@ -111,7 +111,7 @@ def el_residual(
 
         sup_{w > 0} | 2 phi - b0 cstar w^(m-1) - a0 cstar | / (a0 cstar).
     """
-    return _residual(w, potential_symmetric(w, kernel).values, cstar, exps)
+    return _residual(w, potential(w, kernel), cstar, exps)
 
 
 def _residual(w: RadialField, phi: np.ndarray, cstar: float, exps: Exponents) -> float:
@@ -127,7 +127,7 @@ def _residual(w: RadialField, phi: np.ndarray, cstar: float, exps: Exponents) ->
 
 def _phi_and_h(w: RadialField, kernel: ReducedKernel) -> tuple[np.ndarray, float]:
     """The potential phi of w and h(w) = (w V) . phi, from one kernel product."""
-    phi = potential_symmetric(w, kernel).values
+    phi = potential(w, kernel)
     return phi, float((w.values * w.grid.volumes) @ phi)
 
 

@@ -27,7 +27,7 @@ from .errors import RegimeError, ZeroField
 from .field import RadialField, lp_norm, mass, second_moment
 from .params import Exponents
 # force has no caller here; the benchmark's tracer wraps functionals.force
-from .riesz import ReducedKernel, _scale_factor, _support_extent, force, interaction
+from .riesz import ReducedKernel, _support_extent, force, interaction, potential
 
 __all__ = [
     "EnergyReport",
@@ -89,27 +89,13 @@ def chemical_potential(
     mu the exact variational derivative of the discrete free energy; the
     flow u_t = div(u grad mu) then dissipates that energy by construction.
     """
-    pressure, c = _chemical_potential_parts(u, exps, kernel)
-    return RadialField(u.grid, pressure - c)
+    c = exps.c_ds * potential(u, kernel)
+    return RadialField(u.grid, _pressure(u.values, exps.m) - c)
 
 
-def _chemical_potential_parts(
-    u: RadialField,
-    exps: Exponents,
-    kernel: ReducedKernel,
-    *,
-    rows: int | None = None,
-    extent: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The two parts of mu on cells [0, rows): the pressure m/(m-1) u^(m-1)
-    and the attraction potential c, so that mu = pressure - c."""
-    m = exps.m
-    v = u.values[:rows]
-    c = exps.c_ds * (_scale_factor(kernel, u.grid, 0.0) * kernel.interaction_matvec(
-        u.values, rows=rows, extent=extent
-    ))
-    pressure = np.where(v > 0.0, v, 0.0) ** (m - 1.0) * (m / (m - 1.0))
-    return pressure, c
+def _pressure(values: np.ndarray, m: float) -> np.ndarray:
+    """The pressure p = m/(m-1) u^(m-1) of cell values (0 where u = 0)."""
+    return np.where(values > 0.0, values, 0.0) ** (m - 1.0) * (m / (m - 1.0))
 
 
 def _face_system(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> tuple:
@@ -122,12 +108,13 @@ def _face_system(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> tupl
     next to mass, v_f, inner and outer."""
     n, v, extent = u.grid.n, u.values, _support_extent(u.values)
     w = min(extent + 1, n)
-    p, c = _chemical_potential_parts(u, exps, kernel, rows=min(w + 1, n), extent=extent)
+    c = exps.c_ds * potential(u, kernel, rows=min(w + 1, n), extent=extent)
     if w < n and c[w] > c[w - 1]:
         # attraction points outward at the window face: nothing bounds the
         # new support short of the whole grid
         w = n
-        p, c = _chemical_potential_parts(u, exps, kernel, rows=n, extent=extent)
+        c = exps.c_ds * potential(u, kernel, rows=n, extent=extent)
+    p = _pressure(v[:w], exps.m)
     dp, dc = p[1:w] - p[: w - 1], c[1:w] - c[: w - 1]
     vel = (dc - dp) / u.grid.dr
     outward = vel > 0.0

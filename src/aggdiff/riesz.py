@@ -10,11 +10,14 @@ closed-form antiderivatives in r', so the influence of each source shell on
 each target radius is integrated exactly for a piecewise-constant density;
 the mild kink of |r - r'|^(2-lam) at r = r' therefore costs no accuracy.
 The per-pair weights form dense tables, filled on first use, making
-potential evaluation a matrix-vector product.  The interaction operator is
-stored pre-symmetrized as one leading block [0, E), grown by powers of two
-to the cells a product reads, and applied only to the support of the
-density: a density on 150 of 1,140 cells costs a 256 x 256 block, whose
-square [0, e) alone gives its interaction energy, e the support extent.
+potential evaluation a matrix-vector product.  The cell potential and
+the interaction energy read one operator, the volume-symmetrized weights;
+potential_at gives raw values at any radius, by the same antiderivatives.
+The interaction operator is stored pre-symmetrized as one leading block
+[0, E), grown by powers of two to the cells a product reads, and applied
+only to the support of the density: a density on 150 of 1,140 cells costs
+a 256 x 256 block, whose square [0, e) alone gives its interaction energy,
+e the support extent.
 
 On the uniform grid the tables are assembled in unit coordinates (radii
 divided by dr).  Targets sit at the cell centres i + 1/2 (potential) or the
@@ -46,7 +49,6 @@ __all__ = [
     "ReducedKernel",
     "build_kernel",
     "potential",
-    "potential_symmetric",
     "potential_at",
     "force",
     "interaction",
@@ -218,16 +220,16 @@ class _LazyTable:
 class ReducedKernel:
     """Shell-to-shell interaction weights on one grid.
 
-    pot[i, j]   plain potential weight: phi(r_i) = sum_j pot[i, j] u_j, where
-                phi is the convolution of u with |x|^(-lam) (no prefactor).
-                The two estimates of a shell-pair integral, V_i pot[i, j] and
-                V_j pot[j, i], agree to discretization accuracy; the raw
-                rows keep the pointwise potential second-order consistent
-                with the face force.
+    pot[i, j]   raw potential weight: phi(r_i) = sum_j pot[i, j] u_j, where
+                phi is the convolution of u with |x|^(-lam) (no prefactor),
+                as potential_at evaluates it at the centres.  The two
+                estimates of a shell-pair integral, V_i pot[i, j] and
+                V_j pot[j, i], agree to discretization accuracy.
     frc[f, j]   radial derivative of the plain potential at face f (the face
                 at r = 0 is zero by symmetry).  Read by force() and the benchmark.
     sym[i, j]   the interaction operator 0.5 (pot[i, j] + pot[j, i] V_j / V_i),
-                i.e. V^-1 S with S = (V pot + pot^T V)/2 exactly symmetric.
+                i.e. V^-1 S with S = (V pot + pot^T V)/2 exactly symmetric:
+                the one operator potential() and interaction() apply.
 
     pot and frc are filled in full on first read unless passed in (as by
     dataclasses.replace), which pins them; a pinned table must have the
@@ -316,11 +318,14 @@ class ReducedKernel:
         Only the source cells [0, extent) enter, extent being the support
         extent of values (scanned when not given); this is exact, since
         empty cells contribute nothing.  The result covers target cells
-        [0, rows), all of them by default; the block grows to cover both."""
+        [0, rows), all of them by default; the block grows to cover both,
+        unless extent is 0: the zero field's product reads no block."""
         if extent is None:
             extent = _support_extent(values)
         if rows is None:
             rows = self.grid.n
+        if extent == 0:
+            return np.zeros(rows)
         return self._operator(max(rows, extent))[:rows, :extent] @ values[:extent]
 
 
@@ -350,11 +355,15 @@ def _scale_factor(kernel: ReducedKernel, grid: RadialGrid, power_offset: float) 
     return c ** (3.0 - kernel.lam - power_offset)
 
 
-def potential(u: RadialField, kernel: ReducedKernel, c_ds: float) -> RadialField:
-    """Attraction potential c = c_ds * (u convolved with |x|^(-lam)) at cell
-    centers.  Nonnegative, and radially nonincreasing whenever u is."""
+def potential(u: RadialField, kernel: ReducedKernel, *, rows: int | None = None,
+              extent: int | None = None) -> np.ndarray:
+    """Plain potential of u (no prefactor) at the cell centres [0, rows),
+    all by default, through the volume-symmetrized operator (rows and
+    extent as in ReducedKernel.interaction_matvec): its quadratic form
+    against u V is exactly the interaction energy.  Nonnegative, and
+    radially nonincreasing whenever u is; potential_at gives raw values."""
     fac = _scale_factor(kernel, u.grid, 0.0)
-    return RadialField(u.grid, c_ds * fac * (kernel.pot @ u.values))
+    return fac * kernel.interaction_matvec(u.values, rows=rows, extent=extent)
 
 
 def force(u: RadialField, kernel: ReducedKernel, c_ds: float) -> np.ndarray:
@@ -363,13 +372,6 @@ def force(u: RadialField, kernel: ReducedKernel, c_ds: float) -> np.ndarray:
     the benchmark's tracer: the scheme differences the cell potential."""
     fac = _scale_factor(kernel, u.grid, 1.0)
     return c_ds * fac * (kernel.frc @ u.values)
-
-
-def potential_symmetric(u: RadialField, kernel: ReducedKernel) -> RadialField:
-    """Plain potential through the volume-symmetrized weights (the variant
-    whose quadratic form against u V is exactly the interaction energy)."""
-    fac = _scale_factor(kernel, u.grid, 0.0)
-    return RadialField(u.grid, fac * kernel.interaction_matvec(u.values))
 
 
 def interaction(u: RadialField, kernel: ReducedKernel) -> float:

@@ -8,6 +8,7 @@ import numpy as np
 
 import aggdiff as ag
 from aggdiff import (
+    Agreement,
     ExtremalOptions,
     Outcome,
     RadialGrid,
@@ -193,7 +194,7 @@ def test_criterion_09_dichotomy(exps, profile_n512, profile_n1024, thresholds_n5
     assert np.max(tr_lo.linf) <= 2.0 * tr_lo.linf[0]
     barrier_lo = barrier_check(tr_lo, thr, exps)
     assert barrier_lo.stayed_below
-    assert agrees(cls_lo, tr_lo, barrier_lo)
+    assert agrees(cls_lo, tr_lo, barrier_lo) is Agreement.AGREES
     # blow-up side
     u_hi = wt.with_values(1.2 * wt.values)
     cls_hi = classify(u_hi, thr, exps, kernel)
@@ -203,7 +204,7 @@ def test_criterion_09_dichotomy(exps, profile_n512, profile_n1024, thresholds_n5
     assert tr_hi.t_detect is not None and np.isfinite(tr_hi.t_detect)
     barrier_hi = barrier_check(tr_hi, thr, exps)
     assert barrier_hi.stayed_above
-    assert agrees(cls_hi, tr_hi, barrier_hi)
+    assert agrees(cls_hi, tr_hi, barrier_hi) is Agreement.AGREES
     # t_detect: finite, and trends consistently under refinement (numerical
     # observation, not a reproducible constant of the continuum problem)
     wt_fine = ag.threshold_profile(profile_n1024, exps)

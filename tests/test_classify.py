@@ -10,6 +10,7 @@ import pytest
 
 import aggdiff as ag
 from aggdiff import (
+    Agreement,
     BarrierReport,
     Outcome,
     SimConfig,
@@ -34,6 +35,22 @@ class TestClassify:
             u0 = wt.with_values(kappa * wt.values)
             cls = classify(u0, thresholds_n512, exps, kernel)
             assert cls.verdict is want, (kappa, cls.verdict)
+
+    def test_virial_horizon_for_blowup_verdicts_only(self, exps, thresholds_n512, wt_padded):
+        wt, kernel = wt_padded
+        for kappa in (0.8, 1.0):
+            cls = classify(wt.with_values(kappa * wt.values), thresholds_n512, exps, kernel)
+            assert cls.delta is None and cls.t_virial is None
+        u0 = wt.with_values(1.2 * wt.values)
+        cls = classify(u0, thresholds_n512, exps, kernel)
+        rep = ag.energy_report(u0, exps, kernel)
+        lam = exps.d - 2.0 * exps.s
+        # M2' <= 2(d-2s) F(u0) + (2d - 2(d-2s)/(m-1)) x_star / M^a = -delta
+        bound = 2.0 * lam * rep.free_energy + (2.0 * exps.d - 2.0 * lam / (exps.m - 1.0)) \
+            * thresholds_n512.x_star / rep.mass**exps.a
+        assert cls.delta == pytest.approx(-bound, rel=1e-12) and cls.delta > 0.0
+        assert cls.t_virial == pytest.approx(rep.second_moment / cls.delta, rel=1e-12)
+        assert abs(cls.t_virial / 216.6 - 1.0) <= 0.01
 
     def test_product_scaling_with_amplitude(self, exps, thresholds_n512, wt_padded):
         # product(kappa u) = kappa^(a+m) product(u)
@@ -188,11 +205,35 @@ class TestAgrees:
     @pytest.mark.parametrize("outcome", list(Outcome))
     @pytest.mark.parametrize("verdict", list(Verdict))
     def test_table(self, verdict, outcome, side):
+        # runs that end past every blow-up horizon: agree or disagree only
         want = {
             Verdict.GLOBAL_EXISTENCE: (Outcome.COMPLETED_BOUNDED, "below"),
             Verdict.FINITE_TIME_BLOWUP: (Outcome.BLOWUP_DETECTED, "above"),
         }.get(verdict)
         expected = want is None or want == (outcome, side)
-        cls = SimpleNamespace(verdict=verdict)
-        trace = SimpleNamespace(outcome=outcome)
-        assert agrees(cls, trace, _barrier(side)) is expected
+        cls = SimpleNamespace(verdict=verdict, t_virial=1.0)
+        trace = SimpleNamespace(outcome=outcome, t=np.array([0.0, 2.0]))
+        assert agrees(cls, trace, _barrier(side)) is (
+            Agreement.AGREES if expected else Agreement.DISAGREES)
+
+    # (verdict, outcome, side, end time, agreement) against t_virial = 1,
+    # whose horizon with the 5% slack is 1.05
+    HORIZON_CASES = [
+        ("FiniteTimeBlowup", "CompletedBounded", "above", 0.5, "undecided"),
+        ("FiniteTimeBlowup", "CompletedBounded", "above", 1.04, "undecided"),
+        ("FiniteTimeBlowup", "CompletedBounded", "above", 1.06, "disagrees"),
+        ("FiniteTimeBlowup", "CompletedBounded", "crossed", 0.5, "disagrees"),
+        ("FiniteTimeBlowup", "CompletedBounded", "below", 0.5, "disagrees"),
+        ("FiniteTimeBlowup", "BlowupDetected", "above", 0.5, "agrees"),
+        ("FiniteTimeBlowup", "BlowupDetected", "crossed", 0.5, "disagrees"),
+        ("FiniteTimeBlowup", "Inconclusive", "above", 0.5, "disagrees"),
+        ("GlobalExistence", "CompletedBounded", "below", 0.5, "agrees"),
+        ("GlobalExistence", "CompletedBounded", "above", 0.5, "disagrees"),
+        ("Indeterminate", "CompletedBounded", "above", 0.5, "agrees"),
+    ]
+
+    @pytest.mark.parametrize("verdict, outcome, side, t_end, agreement", HORIZON_CASES)
+    def test_three_valued_table(self, verdict, outcome, side, t_end, agreement):
+        cls = SimpleNamespace(verdict=Verdict(verdict), t_virial=1.0)
+        trace = SimpleNamespace(outcome=Outcome(outcome), t=np.array([0.0, t_end]))
+        assert agrees(cls, trace, _barrier(side)) is Agreement(agreement)

@@ -44,7 +44,7 @@ PROFILE_KEYS = ["cstar", "support_radius", "el_residual", "iterations",
 DICHOTOMY_KEYS = ["x_star", "g_at_xstar", "cstar", "rows", "timestamp"]
 DICHOTOMY_ROW_KEYS = ["kappa", "verdict", "outcome", "t_detect",
                       "product_over_x_star", "barrier_max_ratio",
-                      "barrier_min_ratio", "consistent"]
+                      "barrier_min_ratio", "delta", "t_virial", "agreement"]
 CLASSIFICATION_KEYS = ["verdict", "product", "x_star", "energy_lhs",
                        "g_at_xstar", "margins"]
 CLASSIFICATION_MARGIN_KEYS = ["product", "energy"]
@@ -375,7 +375,8 @@ class TestDichotomy:
         assert list(row) == DICHOTOMY_ROW_KEYS
         assert row["verdict"] == "Indeterminate"
         assert row["outcome"] == "CompletedBounded"
-        assert row["consistent"] is True
+        assert row["agreement"] == "agrees"
+        assert row["delta"] is None and row["t_virial"] is None
         assert abs(row["barrier_max_ratio"] - 1.0) <= 1e-3
         assert abs(row["barrier_min_ratio"] - 1.0) <= 1e-3
         body = (out / "trace_kappa_1.0.csv").read_text().splitlines()
@@ -400,8 +401,50 @@ class TestDichotomy:
         assert rows[1.2]["outcome"] == "BlowupDetected"
         assert rows[1.2]["barrier_min_ratio"] > 1.0
         assert rows[1.2]["t_detect"] is not None
+        assert [row["agreement"] for row in payload["rows"]] == ["agrees", "agrees"]
         assert (out / "trace_kappa_0.8.csv").exists()
         assert (out / "trace_kappa_1.2.csv").exists()
+
+    def test_blowup_leg_short_of_its_horizon_is_undecided(self, tmp_path):
+        # kappa = 1.05 blows up near t = 58, past the default horizon of 50,
+        # but well before its virial bound t_virial
+        cfg = write_cfg(tmp_path, "grid.n = 512\nexperiment.kappas = 1.05,0.95\n")
+        out = tmp_path / "out"
+        code = main(["dichotomy", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_OK
+        rows = {row["kappa"]: row for row in json.loads((out / "dichotomy.json").read_text())["rows"]}
+        assert rows[1.05]["verdict"] == "FiniteTimeBlowup"
+        assert rows[1.05]["outcome"] == "CompletedBounded"
+        assert rows[1.05]["agreement"] == "undecided"
+        assert rows[1.05]["delta"] > 0.0
+        assert abs(rows[1.05]["t_virial"] / 2913.0 - 1.0) <= 0.01
+        assert rows[0.95]["agreement"] == "agrees"
+
+    @pytest.mark.parametrize("t_end, code, agreement", [
+        (200.0, EXIT_OK, "undecided"), (250.0, EXIT_CHECK_FAILED, "disagrees")])
+    def test_bounded_past_virial_horizon_exits_4(self, tmp_path, monkeypatch, t_end, code,
+                                                 agreement):
+        # the run's kernel alone is weakened to f = kappa^(m-2), under which
+        # kappa W is a steady state (p(kappa W) = kappa^(m-1) p(W)): the
+        # verdict stays FiniteTimeBlowup and the product stays above x_star,
+        # so only the horizon 1.05 t_virial = 227 decides
+        kappa, f = 1.2, 1.2 ** (1.2 - 2.0)
+        run = aggdiff.cli.run
+
+        def weakened_run(u0, sim, kernel, exps):
+            return run(u0, sim, dataclasses.replace(kernel, pot=f * kernel.pot), exps)
+
+        monkeypatch.setattr(aggdiff.cli, "run", weakened_run)
+        cfg = write_cfg(tmp_path, f"grid.n = 512\nsim.t_end = {t_end}\n"
+                                  f"experiment.kappas = {kappa}\n")
+        out = tmp_path / "out"
+        assert main(["dichotomy", "--config", str(cfg), "--out", str(out)]) == code
+        row = json.loads((out / "dichotomy.json").read_text())["rows"][0]
+        assert row["verdict"] == "FiniteTimeBlowup"
+        assert row["outcome"] == "CompletedBounded"
+        assert row["barrier_min_ratio"] > 1.0
+        assert 200.0 < row["t_virial"] < 250.0 / 1.05
+        assert row["agreement"] == agreement
 
 
     def test_constant_above_sharp_bound_exits_3(self, tmp_path, capsys):

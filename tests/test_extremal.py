@@ -133,15 +133,15 @@ class TestSolve:
     def test_falling_quotient_stops_the_solve(self, exps, monkeypatch):
         # every potential after the third comes back shrunk, so the first
         # update after them lowers the quotient
-        potential = extremal.potential_symmetric
+        potential = extremal.potential
         calls = []
 
         def shrunk(u, kernel):
             calls.append(None)
             phi = potential(u, kernel)
-            return phi if len(calls) <= 3 else phi.with_values(0.5 * phi.values)
+            return phi if len(calls) <= 3 else 0.5 * phi
 
-        monkeypatch.setattr(extremal, "potential_symmetric", shrunk)
+        monkeypatch.setattr(extremal, "potential", shrunk)
         with pytest.raises(NoConvergence, match="lowers the quotient") as err:
             solve_extremal(exps, RadialGrid(256, 4.0))
         best = err.value.profile
@@ -179,11 +179,11 @@ class TestElResidual:
         # relation; measured against that same potential the defect vanishes
         # identically
         kernel = build_kernel(profile_n512.w.grid, exps.lam)
-        from aggdiff.riesz import potential_symmetric
+        from aggdiff.riesz import potential
 
         w = profile_n512.w
         c = profile_n512.cstar
-        phi = potential_symmetric(w, kernel).values
+        phi = potential(w, kernel)
         raw = np.maximum(2.0 * phi - exps.a0 * c, 0.0) / (exps.b0 * c)
         w_exact = raw ** (1.0 / (exps.m - 1.0))
         on = w_exact > 1e-12 * w_exact.max()

@@ -418,12 +418,17 @@ class TestInteractionMatvec:
 class TestPotential:
     def test_zero_field(self, grid1024, kernel1024):
         u = field_from_values(grid1024, np.zeros(grid1024.n))
-        c = potential(u, kernel1024, 1.0)
-        assert np.all(c.values == 0.0)
+        c = potential(u, kernel1024)
+        assert np.all(c == 0.0)
+
+    def test_positional_prefactor_rejected(self, gauss1024, kernel1024):
+        # the prefactor argument is gone: an old call must fail, not rebind rows
+        with pytest.raises(TypeError):
+            potential(gauss1024, kernel1024, 1.0)
 
     def test_gaussian_against_oracle(self, gauss1024, kernel1024):
         f = lambda r: np.exp(-(r**2))
-        c = potential(gauss1024, kernel1024, 1.0)
+        c = potential(gauss1024, kernel1024)
         grid = gauss1024.grid
         for rt in (0.0, 1.0, 2.0):
             oracle = oracle_potential(f, rt, LAM, grid.r_max)
@@ -431,7 +436,7 @@ class TestPotential:
             assert abs(direct - oracle) <= 1e-3 * oracle
             i = int(np.argmin(np.abs(grid.centers - max(rt, grid.dr / 2))))
             oracle_i = oracle_potential(f, grid.centers[i], LAM, grid.r_max)
-            assert abs(c.values[i] - oracle_i) <= 1e-3 * oracle_i
+            assert abs(c[i] - oracle_i) <= 1e-3 * oracle_i
 
     def test_far_field_decay(self, gauss1024):
         M = mass(gauss1024)
@@ -447,25 +452,25 @@ class TestPotential:
         assert abs(near - limit) <= 1e-6 * limit
 
     def test_monotone_for_nonincreasing_input(self, gauss1024, kernel1024):
-        c = potential(gauss1024, kernel1024, 1.0)
-        assert np.all(np.diff(c.values) <= 1e-12 * c.values[0])
-        assert np.all(c.values >= 0.0)
+        c = potential(gauss1024, kernel1024)
+        assert np.all(np.diff(c) <= 1e-12 * c[0])
+        assert np.all(c >= 0.0)
 
     def test_monotone_for_random_rearranged_inputs(self, grid1024, kernel1024):
         rng = np.random.default_rng(202)
         for _ in range(10):
             u = rearrange_decreasing(random_density(grid1024, rng))
-            c = potential(u, kernel1024, 1.0)
-            assert np.all(c.values >= 0.0)
-            assert np.all(np.diff(c.values) <= 1e-10 * c.values[0])
+            c = potential(u, kernel1024)
+            assert np.all(c >= 0.0)
+            assert np.all(np.diff(c) <= 1e-10 * c[0])
 
     def test_near_identical_grid(self, grid1024, kernel1024, gauss1024):
         # a grid equal to the build grid up to roundoff in r_max goes through
         # the homogeneity factor and gets the build-grid potential and force
         near = RadialGrid(grid1024.n, grid1024.r_max * (1.0 + 1e-14))
         u = ag.RadialField(near, gauss1024.values)
-        c0 = potential(gauss1024, kernel1024, 1.0).values
-        c1 = potential(u, kernel1024, 1.0).values
+        c0 = potential(gauss1024, kernel1024)
+        c1 = potential(u, kernel1024)
         assert np.allclose(c1, c0, rtol=1e-12, atol=0.0)
         f0 = force(gauss1024, kernel1024, 1.0)
         f1 = force(u, kernel1024, 1.0)
@@ -475,7 +480,7 @@ class TestPotential:
         other = RadialGrid(512, 8.0)
         u = field_from_function(other, lambda r: np.exp(-(r**2)))
         with pytest.raises(GridMismatch):
-            potential(u, kernel1024, 1.0)
+            potential(u, kernel1024)
 
 
 class TestForce:
@@ -507,9 +512,9 @@ class TestForce:
             grid = RadialGrid(n, 6.0)
             u = field_from_function(grid, lambda r: np.exp(-(r**2)))
             kernel = build_kernel(grid, LAM)
-            c = potential(u, kernel, 1.0)
+            c = potential_at(u, grid.centers, LAM)
             frc = force(u, kernel, 1.0)[1:-1]
-            fd = np.diff(c.values) / grid.dr
+            fd = np.diff(c) / grid.dr
             errs.append(np.max(np.abs(fd - frc)))
         order1 = np.log2(errs[0] / errs[1])
         order2 = np.log2(errs[1] / errs[2])
@@ -521,6 +526,16 @@ class TestInteraction:
     def test_zero_field(self, grid1024, kernel1024):
         u = field_from_values(grid1024, np.zeros(grid1024.n))
         assert interaction(u, kernel1024) == 0.0
+
+    def test_zero_field_reads_no_block(self, exps):
+        # the zero field's products are empty: no operator block is built
+        grid = RadialGrid(1140, 9.0)
+        kernel = build_kernel(grid, exps.lam)
+        u = field_from_values(grid, np.zeros(grid.n))
+        assert interaction(u, kernel) == 0.0
+        new, _ = ag.step(u, kernel, exps, ag.SimConfig(t_end=1.0))
+        assert np.all(new.values == 0.0)
+        assert "_block" not in kernel.__dict__
 
     def test_quadratic_homogeneity(self, gauss1024, kernel1024):
         h1 = interaction(gauss1024, kernel1024)
