@@ -44,7 +44,7 @@ import numpy as np
 
 from .classify import Agreement, agrees, barrier_check, classify
 from .errors import NoConvergence, RegimeError
-from .evolve import SimConfig, run, trace_to_csv
+from .evolve import SimConfig, _solve as _tridiagonal_solve, run, trace_to_csv
 from .extremal import (
     ExtremalOptions,
     compute_thresholds,
@@ -58,7 +58,7 @@ from .params import ModelParams, derive_exponents, hls_sharp_constant
 from .riesz import build_kernel
 from .testing import (exponent_identity_defect, kernel_symmetry_defect, mass_drift,
                       max_hls_ratio, random_density, rearrangement_loss,
-                      scale_invariance_defect)
+                      scale_invariance_defect, tridiagonal_solve_defect)
 
 __all__ = ["main", "RunConfig", "load_config"]
 
@@ -353,8 +353,9 @@ def cmd_dichotomy(cfg: RunConfig, out: str | None) -> int:
 
 
 def _selftest_checks(cfg: RunConfig):
-    """The invariant battery: name -> (measure, bound).  A check passes when
-    its measure (an aggdiff.testing figure, worst case) is <= its bound.  The
+    """The invariant battery: name -> (measure, bound[, note]).  A check
+    passes when its measure (an aggdiff.testing figure, worst case) is <= its
+    bound; a note, such as which tridiagonal solve ran, ends its line.  The
     density measures share one seeded stream, so they run in table order."""
     exps = derive_exponents(cfg.params)
     grid = RadialGrid(cfg.selftest_n, 8.0)
@@ -375,15 +376,19 @@ def _selftest_checks(cfg: RunConfig):
         "rearrangement_monotonicity": (lambda: rearrangement_loss(kernel, rng, 10), 1e-8),
         "kernel_symmetry": (lambda: kernel_symmetry_defect(kernel, vectors), 1e-12),
         "mass_conservation": (lambda: mass_drift(short_run()), 1e-8),
+        "tridiagonal_solve": (lambda: tridiagonal_solve_defect(
+            random_density(grid, rng), exps, kernel), 1e-13,
+            f"solve: {_tridiagonal_solve.__name__.lstrip('_')}"),
     }
 
 
 def cmd_selftest(cfg: RunConfig, out: str | None) -> int:
     failed = []
-    for name, (measure, bound) in _selftest_checks(cfg).items():
+    for name, (measure, bound, *note) in _selftest_checks(cfg).items():
         figure = measure()
         ok = figure <= bound
-        print(f"{'PASS' if ok else 'FAIL'}  {name:<27} {figure:.3e}  (bound {bound:g})")
+        print(f"{'PASS' if ok else 'FAIL'}  {name:<27} {figure:.3e}  (bound {bound:g})"
+              + "".join(f"  {n}" for n in note))
         if not ok:
             failed.append(name)
     if failed:

@@ -27,7 +27,13 @@ A sweep S(u, dt) solves V u_new + dt (flux differences) = V u: a
 tridiagonal matrix with column sums V.  In each sign case of (v_f, a_f) its
 off-diagonals are nonpositive (for v_f > 0 > a_f, D_f >= -d_r p > -a_f
 because u_f >= 0, and symmetrically), so it is a column diagonally dominant
-M-matrix: mass is conserved and positivity preserved for every dt.  A step
+M-matrix: mass is conserved and positivity preserved for every dt.  Its
+elimination needs no row interchange: each pivot is at least the entry
+below it, as the reduced matrices stay column diagonally dominant.  Where
+numpy links the ILP64 scipy-openblas, LAPACK's dgtsv solves it through
+ctypes; its partial pivoting never swaps, so it runs the operations of the
+Python-float Thomas recurrence (_thomas, the solve on every other numpy
+build) in the same order, and the two agree bit for bit.  A step
 extrapolates the first-order S by step doubling, 2 S(S(u, dt/2), dt/2) -
 S(u, dt): second order, mass still exact, and the system frozen at u shared
 by the first two sweeps.  Negatives within 64 eps of its sup norm are
@@ -50,6 +56,7 @@ counts as focusing once the sup norm exceeds _FOCUSING * ||u0||_inf.
 
 from __future__ import annotations
 
+import ctypes
 import warnings
 from dataclasses import dataclass, field as dataclass_field, fields
 from enum import Enum
@@ -139,14 +146,56 @@ class SimTrace:
 _COLUMNS = tuple(f.name for f in fields(SimTrace) if f.type == "np.ndarray")
 
 
-def _sweep(u: RadialField, op: tuple, dt: float) -> np.ndarray:
-    """S(u, dt): the values after one first-order step of size dt, with op
-    the system frozen at u (functionals._face_system), by a Thomas sweep.
-    No pivoting: the matrix is a column diagonally dominant M-matrix, whose
-    pivots stay positive.  With nonpositive off-diagonals and a nonnegative
-    right-hand side every update adds nonnegative terms, so the solution
-    comes out nonnegative.  The recurrence is sequential, so it runs on
-    Python floats."""
+def _thomas(lower, diag, upper, rhs) -> list:
+    """The Thomas recurrence on Python floats, without pivoting: the
+    reference solve, and the fallback where dgtsv is not found."""
+    a, b, c, x = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    q, y = b[0], x[0]
+    for i in range(1, len(x)):
+        f = a[i - 1] / q
+        q = b[i] = b[i] - f * c[i - 1]
+        y = x[i] = x[i] - f * y
+    x[-1] = y = y / q
+    for i in range(len(x) - 2, -1, -1):
+        x[i] = y = (x[i] - c[i] * y) / b[i]
+    return x
+
+
+def _lapack_gtsv():
+    """LAPACK dgtsv from the ILP64 scipy-openblas numpy links (else None): a
+    solve like _thomas that overwrites its float64 arrays."""
+    try:
+        from numpy.linalg import _umath_linalg
+        gtsv = ctypes.CDLL(_umath_linalg.__file__).scipy_dgtsv_64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    gtsv.argtypes, gtsv.restype = [ctypes.c_void_p] * 8, None
+    one = ctypes.byref(ctypes.c_int64(1))
+
+    def lapack_dgtsv(lower, diag, upper, rhs):
+        w = len(diag)
+        # dgtsv writes w - 1, w, w - 1 and w doubles through the pointers
+        if (lower.shape, diag.shape, upper.shape, rhs.shape) != ((w - 1,), (w,), (w - 1,), (w,)) \
+                or not all(a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable
+                           for a in (lower, diag, upper, rhs)):
+            raise ValueError("dgtsv needs writable C-contiguous float64 vectors")
+        n, info = ctypes.c_int64(w), ctypes.c_int64()
+        gtsv(ctypes.byref(n), one, lower.ctypes.data, diag.ctypes.data,
+             upper.ctypes.data, rhs.ctypes.data, ctypes.byref(n), ctypes.byref(info))
+        if info.value:
+            raise NonFiniteValue(f"dgtsv failed with INFO = {info.value}")
+        return rhs
+
+    return lapack_dgtsv
+
+
+# the solve every sweep uses, chosen once at import
+_solve = _lapack_gtsv() or _thomas
+
+
+def _sweep_system(u: RadialField, op: tuple, dt: float) -> tuple:
+    """Fresh sub-, main and superdiagonal and right-hand side of the system
+    of S(u, dt) on the window [0, w), with op frozen at u (_face_system)."""
     grid, v = u.grid, u.values
     _, _, inner, outer = op
     w = len(inner) + 1
@@ -158,17 +207,17 @@ def _sweep(u: RadialField, op: tuple, dt: float) -> np.ndarray:
     diag = volumes.copy()
     diag[:-1] -= lower
     diag[1:] -= upper
-    a, b, c, x = lower.tolist(), diag.tolist(), upper.tolist(), (volumes * v[:w]).tolist()
-    q, y = b[0], x[0]
-    for i in range(1, w):
-        f = a[i - 1] / q
-        q = b[i] = b[i] - f * c[i - 1]
-        y = x[i] = x[i] - f * y
-    x[-1] = y = y / q
-    for i in range(w - 2, -1, -1):
-        x[i] = y = (x[i] - c[i] * y) / b[i]
+    return lower, diag, upper, volumes * v[:w]
+
+
+def _sweep(u: RadialField, op: tuple, dt: float) -> np.ndarray:
+    """S(u, dt): the values after one first-order step of size dt, by
+    _solve.  With nonpositive off-diagonals and a nonnegative right-hand
+    side every update of the elimination adds nonnegative terms, so the
+    solution comes out nonnegative."""
+    x = _solve(*_sweep_system(u, op, dt))
     # roundoff-level negatives only; the M-matrix keeps the solve monotone
-    return np.concatenate((np.maximum(x, 0.0), v[w:]))
+    return np.concatenate((np.maximum(x, 0.0), u.values[len(x):]))
 
 
 def step(

@@ -13,16 +13,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .evolve import SimTrace
+from .evolve import SimTrace, _solve, _sweep_system, _thomas
 from .field import (RadialField, RadialGrid, apply_dynamic_scaling, field_from_function,
                     mass, rearrange_decreasing, scale_field)
-from .functionals import energy_report, vhls_quotient
+from .functionals import _face_system, energy_report, vhls_quotient
 from .params import Exponents, ModelParams, derive_exponents, hls_sharp_constant
 from .riesz import ReducedKernel, interaction
 
 __all__ = ["random_density", "trial_densities", "exponent_identity_defect",
            "max_hls_ratio", "scale_invariance_defect", "rearrangement_loss",
-           "kernel_symmetry_defect", "mass_drift"]
+           "kernel_symmetry_defect", "mass_drift", "tridiagonal_solve_defect"]
 
 
 def random_density(grid: RadialGrid, rng: np.random.Generator) -> RadialField:
@@ -160,3 +160,15 @@ def kernel_symmetry_defect(kernel: ReducedKernel, rng: np.random.Generator) -> f
 def mass_drift(trace: SimTrace) -> float:
     """Largest relative departure of a run's recorded mass from its start."""
     return float(np.max(np.abs(trace.mass - trace.mass[0])) / trace.mass[0])
+
+
+def tridiagonal_solve_defect(u: RadialField, exps: Exponents,
+                             kernel: ReducedKernel) -> float:
+    """Largest difference between the time step's tridiagonal solve and the
+    Thomas reference on the sweep system of u at cfl = 1, relative to the
+    largest reference value; 0 where the solve is the Thomas loop itself."""
+    op = _face_system(u, exps, kernel)
+    system = _sweep_system(u, op, u.grid.dr / (3.0 * op[0]))
+    want = np.asarray(_thomas(*system))
+    got = _solve(*(a.copy() for a in system))
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))

@@ -20,6 +20,7 @@ from aggdiff import (
     classify,
     run,
 )
+from aggdiff.classify import _VIRIAL_SLACK
 from aggdiff.cli import EXIT_OK, main
 
 
@@ -51,6 +52,18 @@ class TestClassify:
         assert cls.delta == pytest.approx(-bound, rel=1e-12) and cls.delta > 0.0
         assert cls.t_virial == pytest.approx(rep.second_moment / cls.delta, rel=1e-12)
         assert abs(cls.t_virial / 216.6 - 1.0) <= 0.01
+
+    @pytest.mark.parametrize("kappa", [1.2, 1.05])
+    def test_second_moment_falls_at_the_virial_rate(self, exps, thresholds_n512,
+                                                    wt_padded, kappa):
+        # the mechanism behind t_virial: along the blow-up run the recorded
+        # M2 stays at or below M2(0) - delta t / _VIRIAL_SLACK until detection
+        wt, kernel = wt_padded
+        u0 = wt.with_values(kappa * wt.values)
+        cls = classify(u0, thresholds_n512, exps, kernel)
+        tr = run(u0, SimConfig(t_end=100.0, record_every=5), kernel, exps)
+        assert tr.outcome is Outcome.BLOWUP_DETECTED and len(tr.t) > 10
+        assert np.all(tr.m2 <= tr.m2[0] - cls.delta * tr.t / _VIRIAL_SLACK)
 
     def test_product_scaling_with_amplitude(self, exps, thresholds_n512, wt_padded):
         # product(kappa u) = kappa^(a+m) product(u)

@@ -1,8 +1,9 @@
 """Time integrator: conservation, positivity, porous-medium oracle, energy
 decay and dissipation budget, blow-up detection, the second-moment balance,
-and the initial-data checks."""
+the tridiagonal solves, and the initial-data checks."""
 
 import dataclasses
+import sys
 import warnings
 
 import numpy as np
@@ -25,7 +26,8 @@ from aggdiff import (
     step,
     virial_check,
 )
-from aggdiff.evolve import _ROUNDOFF, _sweep
+from aggdiff import evolve
+from aggdiff.evolve import _ROUNDOFF, _sweep, _sweep_system, _thomas
 from aggdiff.functionals import _face_system
 from aggdiff.testing import mass_drift
 
@@ -515,6 +517,85 @@ class TestScalingCovariance:
             v, dt_v = step(v, kernel_v, exps, cfg)
             assert abs(dt_v - time_factor * dt_u) <= 1e-12 * dt_v
         assert np.allclose(v.values, alpha * u.values, rtol=1e-10, atol=1e-13)
+
+
+class TestTridiagonalSolve:
+    """The solve every sweep uses (LAPACK dgtsv where numpy links the ILP64
+    scipy-openblas) against the Thomas recurrence it replaces."""
+
+    @pytest.fixture(scope="class")
+    def states(self, exps, wt_padded):
+        """(field, kernel) pairs: the seed-0 threshold profile at kappa = 0.8
+        and 1.2 (window short of the grid), the energy_budget Gaussian (window
+        the whole grid) and a two-cell grid."""
+        wt, kernel = wt_padded
+        big = RadialGrid(512, 8.0)
+        two = RadialGrid(2, 1.0)
+        return {
+            "kappa 0.8": (wt.with_values(0.8 * wt.values), kernel),
+            "kappa 1.2": (wt.with_values(1.2 * wt.values), kernel),
+            "gaussian": (field_from_function(big, lambda r: 0.5 * np.exp(-(r**2))),
+                         build_kernel(big, exps.lam)),
+            "two cells": (field_from_values(two, np.array([1.0, 0.5])),
+                          build_kernel(two, exps.lam)),
+        }
+
+    @pytest.mark.parametrize("name", ["kappa 0.8", "kappa 1.2", "gaussian", "two cells"])
+    def test_bit_identical_to_thomas_and_near_dense(self, exps, states, name, monkeypatch):
+        u, kernel = states[name]
+        op = _face_system(u, exps, kernel)
+        _, dt = step(u, kernel, exps, SimConfig(t_end=1.0))
+        system = _sweep_system(u, op, dt)
+        assert (len(system[1]) < u.grid.n) == name.startswith("kappa")
+        solved = evolve._solve(*(a.copy() for a in system))
+        assert np.array_equal(solved, _thomas(*system))
+        want, _ = dense_step(u, kernel, exps, SimConfig(t_end=1.0), dt=dt)
+        for solve in (evolve._solve, _thomas):
+            monkeypatch.setattr(evolve, "_solve", solve)
+            np.testing.assert_allclose(_sweep(u, op, dt), want, rtol=0.0,
+                                       atol=1e-12 * np.max(want))
+
+    def test_thomas_run_matches(self, exps, wt_padded, monkeypatch):
+        # the fallback solve drives a whole blow-up leg to the same trace
+        wt, kernel = wt_padded
+        u0 = wt.with_values(1.2 * wt.values)
+        cfg = SimConfig(t_end=100.0, record_every=5)
+        loaded = run(u0, cfg, kernel, exps)
+        monkeypatch.setattr(evolve, "_solve", _thomas)
+        fallback = run(u0, cfg, kernel, exps)
+        assert loaded.outcome is fallback.outcome is Outcome.BLOWUP_DETECTED
+        assert loaded.t_detect == fallback.t_detect
+        for name in evolve._COLUMNS:
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(fallback, name))
+        np.testing.assert_array_equal(loaded.final.values, fallback.final.values)
+
+    def test_lapack_loaded_where_numpy_links_scipy_openblas(self):
+        # numpy's Linux wheels link the ILP64 scipy-openblas, which exports
+        # scipy_dgtsv_64_: there the Thomas loop must not be the solve
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"]
+        if not (sys.platform.startswith("linux") and lapack == "scipy-openblas"):
+            pytest.skip(f"numpy links {lapack} on {sys.platform}")
+        assert evolve._solve is not _thomas
+
+    def test_invalid_systems_raise(self):
+        # [[1, 1], [1, 1]]: the zero second pivot comes back as INFO = 2,
+        # never as a solution; arrays dgtsv would overrun or misread never
+        # reach it
+        if evolve._solve is _thomas:
+            pytest.skip("the Thomas loop is the solve")
+        with pytest.raises(NonFiniteValue, match="INFO = 2"):
+            evolve._solve(np.ones(1), np.ones(2), np.ones(1), np.ones(2))
+        for bad in ([np.ones(1), np.ones(2), np.ones(1), np.ones(1)],
+                    [np.ones(2), np.ones(2), np.ones(1), np.ones(2)],
+                    [np.ones(1), np.ones(2), np.ones(1), np.ones(2, np.float32)],
+                    [np.ones(1), np.ones(4)[::2], np.ones(1), np.ones(2)],
+                    [np.ones(1), np.ones((2, 1)), np.ones(1), np.ones(2)]):
+            with pytest.raises(ValueError):
+                evolve._solve(*bad)
+        frozen = np.ones(2)
+        frozen.flags.writeable = False
+        with pytest.raises(ValueError):
+            evolve._solve(np.ones(1), np.ones(2), np.ones(1), frozen)
 
 
 class TestVirial:
