@@ -15,7 +15,6 @@ from aggdiff import (
     build_kernel,
     derive_exponents,
     field_from_function,
-    force,
     interaction,
     mass,
     pad_grid,
@@ -57,11 +56,12 @@ for rt in (10.0, 20.0, 40.0):
     print(f"  r = {rt:4.0f}:  {val * rt**lam / mass(u):.8f}")
 
 print()
-print("attraction force d_r c at faces (nonpositive for a peaked blob):")
-frc = force(u, kernel, exps.c_ds)
-idx = np.searchsorted(grid.edges, [0.5, 1.0, 2.0])
-for i in idx:
-    print(f"  rho = {grid.edges[i]:.3f}:  {frc[i]:+.8e}")
+print("attraction force d_r c (nonpositive for a peaked blob), as c_ds times a")
+print("centred difference of the potential at rho +- dh:")
+dh = 1e-5
+for rho in (0.5, 1.0, 2.0):
+    lo, hi = potential_at(u, np.array([rho - dh, rho + dh]), lam)
+    print(f"  rho = {rho:.3f}:  {exps.c_ds * (hi - lo) / (2 * dh):+.8e}")
 
 print()
 h = interaction(u, kernel)

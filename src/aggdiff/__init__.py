@@ -13,7 +13,6 @@ from .errors import (
     GridMismatch,
     NoConvergence,
     NonFiniteValue,
-    NotConverged,
     RegimeError,
     UnsupportedDimension,
     ZeroField,

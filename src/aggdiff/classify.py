@@ -30,6 +30,8 @@ __all__ = ["Verdict", "Agreement", "Classification", "classify", "agrees", "barr
 # the slack on t_virial: the scheme's M2 rate meets the virial identity to
 # 2%, so M2 falls at 0.98 delta or more and blows up before t_virial / 0.98
 _VIRIAL_SLACK = 1.05
+# the relative band around x_star left Indeterminate (module docstring)
+_BAND = 1e-3
 
 
 class Verdict(str, Enum):
@@ -77,9 +79,8 @@ def classify(
     thresholds: Thresholds,
     exps: Exponents,
     kernel: ReducedKernel,
-    tol: float = 1e-3,
 ) -> Classification:
-    """Apply the dichotomy rule with a relative tolerance band around x_star.
+    """Apply the dichotomy rule with the relative band _BAND around x_star.
 
     GlobalExistence requires the energy hypothesis and product strictly
     below x_star by more than the band; FiniteTimeBlowup the same with the
@@ -93,7 +94,7 @@ def classify(
     product_margin = (x_star - product) / x_star
     energy_margin = (g_star - energy_lhs) / abs(g_star)
 
-    if not energy_ok or abs(product - x_star) <= tol * x_star:
+    if not energy_ok or abs(product - x_star) <= _BAND * x_star:
         verdict = Verdict.INDETERMINATE
     elif product < x_star:
         verdict = Verdict.GLOBAL_EXISTENCE

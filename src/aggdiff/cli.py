@@ -26,9 +26,9 @@ name on ModelParams, RadialGrid, ExtremalOptions and SimConfig.  Unknown
 keys and bad values are rejected at load (exit 1), before any solve, so
 that typos fail loudly.  Files go to the --out directory (created if
 missing), else to the working directory; no config key sets it.  CSV
-numbers are written with 14 significant digits and JSON sidecars (all
+numbers are written with 15 significant digits and JSON sidecars (all
 written by _write_json) at full precision; CSV bodies are deterministic
-given the same config and seed.
+given the same config.
 """
 
 from __future__ import annotations
@@ -339,6 +339,9 @@ def cmd_dichotomy(cfg: RunConfig, out: str | None) -> int:
                 "barrier_min_ratio": barrier.min_ratio,
                 "delta": cls.delta,
                 "t_virial": cls.t_virial,
+                # least-squares rate of the recorded M2; None with one record
+                "m2_slope": float(np.polyfit(trace.t, trace.m2, 1)[0])
+                if len(trace.t) > 1 else None,
                 "agreement": agreement,
             }
         )

@@ -25,9 +25,5 @@ class NoConvergence(RuntimeError):
         super().__init__(message)
 
 
-class NotConverged(ValueError):
-    """A converged extremal profile is required but was not supplied."""
-
-
 class NonFiniteValue(FloatingPointError):
     """NaN or infinity appeared in a field during time integration."""

@@ -304,8 +304,10 @@ def run(
     final states).  The step collapses when it no longer advances t.
     Outcomes: CompletedBounded when t_end is reached; BlowupDetected when
     the sup norm crosses the trigger (or the step collapses while the run
-    is focusing); Inconclusive otherwise.  If the innermost shell cannot
-    hold the trigger's mass, run warns once the run starts focusing.
+    is focusing); Inconclusive otherwise, as when any step, the final one
+    retaken to land on t_end included, raises NonFiniteValue.  If the
+    innermost shell cannot hold the trigger's mass, run warns once the run
+    starts focusing.
     """
     rep = hypothesis_check(u0, exps)
     warned_truncation = not rep.support_clear_of_boundary
@@ -345,19 +347,18 @@ def run(
             outcome = Outcome.COMPLETED_BOUNDED
             break
         try:
-            u_probe, dt_rule = step(u, kernel, exps, cfg)
+            u_new, dt_new = step(u, kernel, exps, cfg)
+            if t + dt_new > cfg.t_end:
+                # retake the final step exactly to the horizon
+                u_new, dt_new = step(u, kernel, exps, cfg, dt=cfg.t_end - t)
         except NonFiniteValue:
             break  # Inconclusive
-        if t + dt_rule == t:
+        if t + dt_new == t:
             # the step-size rule collapsed; growing sup norm means focusing
             if lp_norm(u, np.inf) > focusing:
                 outcome, t_detect = Outcome.BLOWUP_DETECTED, t
             break
-        if t + dt_rule > cfg.t_end:
-            # retake the final step exactly to the horizon
-            u, dt = step(u, kernel, exps, cfg, dt=cfg.t_end - t)
-        else:
-            u, dt = u_probe, dt_rule
+        u, dt = u_new, dt_new
         t += dt
         nstep += 1
 
@@ -414,5 +415,5 @@ def virial_check(
 
 def trace_to_csv(trace: SimTrace, path) -> None:
     """Write the diagnostic series as CSV with header
-    t,mass,lm,linf,F,m2,dissipation,dt at 14 significant digits."""
+    t,mass,lm,linf,F,m2,dissipation,dt at 15 significant digits."""
     _write_csv(path, ",".join(_COLUMNS), [getattr(trace, name) for name in _COLUMNS])

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import NoConvergence, NotConverged, UnsupportedDimension, ZeroField
+from .errors import NoConvergence, UnsupportedDimension, ZeroField
 from .field import (
     RadialField,
     RadialGrid,
@@ -221,7 +221,8 @@ def threshold_profile(profile: ExtremalProfile, exps: Exponents) -> RadialField:
 
 
 def compute_thresholds(profile: ExtremalProfile, exps: Exponents) -> Thresholds:
-    """Barrier maximizer location and height from the converged constant."""
+    """Barrier maximizer location and height from the converged constant;
+    NoConvergence, with the profile attached, if it did not converge."""
     if not profile.converged:
-        raise NotConverged("thresholds require a converged maximizer")
+        raise NoConvergence("thresholds require a converged maximizer", profile=profile)
     return xstar_threshold(exps, profile.cstar)

@@ -265,13 +265,13 @@ def rearrange_decreasing(u: RadialField) -> RadialField:
 
 def _write_csv(path, header: str, columns) -> None:
     """Write equal-length columns under a header line as CSV rows of %.14e
-    values (14 significant digits); every CSV the package writes uses it."""
+    values (15 significant digits); every CSV the package writes uses it."""
     np.savetxt(path, np.column_stack(columns), fmt="%.14e", delimiter=",",
                header=header, comments="")
 
 
 def field_to_csv(u: RadialField, path) -> None:
-    """Write the field as CSV with header r,u and 14 significant digits."""
+    """Write the field as CSV with header r,u and 15 significant digits."""
     _write_csv(path, "r,u", (u.grid.centers, u.values))
 
 

@@ -3,6 +3,7 @@ the barrier monitor along recorded runs, and the rule that matches a
 verdict with a run."""
 
 import json
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +21,7 @@ from aggdiff import (
     classify,
     run,
 )
-from aggdiff.classify import _VIRIAL_SLACK
+from aggdiff.classify import _BAND, _VIRIAL_SLACK
 from aggdiff.cli import EXIT_OK, main
 
 
@@ -144,13 +145,16 @@ class TestClassify:
         cls_big = classify(u0.with_values(1.2 * u0.values), thr, exps, kernel)
         assert cls_big.verdict is Verdict.FINITE_TIME_BLOWUP
 
-    def test_band_width_configurable(self, exps, thresholds_n512, wt_padded):
+    def test_band_width_configurable(self, exps, thresholds_n512, wt_padded, monkeypatch):
+        # one band, the module constant: 1.01 W sits outside it, and inside
+        # a band widened to 0.2
         wt, kernel = wt_padded
         u0 = wt.with_values(1.01 * wt.values)
-        narrow = classify(u0, thresholds_n512, exps, kernel, tol=1e-6)
-        wide = classify(u0, thresholds_n512, exps, kernel, tol=0.2)
-        assert narrow.verdict is Verdict.FINITE_TIME_BLOWUP
-        assert wide.verdict is Verdict.INDETERMINATE
+        assert _BAND == 1e-3
+        assert classify(u0, thresholds_n512, exps, kernel).verdict \
+            is Verdict.FINITE_TIME_BLOWUP
+        monkeypatch.setattr(sys.modules["aggdiff.classify"], "_BAND", 0.2)
+        assert classify(u0, thresholds_n512, exps, kernel).verdict is Verdict.INDETERMINATE
 
     def test_reads_energy_report(self, exps, thresholds_n512, wt_padded):
         wt, kernel = wt_padded

@@ -9,10 +9,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import aggdiff.cli
 from aggdiff import build_kernel
+from aggdiff.classify import _VIRIAL_SLACK
 from aggdiff.cli import (
     ConfigError,
     EXIT_CHECK_FAILED,
@@ -44,7 +46,8 @@ PROFILE_KEYS = ["cstar", "support_radius", "el_residual", "iterations",
 DICHOTOMY_KEYS = ["x_star", "g_at_xstar", "cstar", "rows", "timestamp"]
 DICHOTOMY_ROW_KEYS = ["kappa", "verdict", "outcome", "t_detect",
                       "product_over_x_star", "barrier_max_ratio",
-                      "barrier_min_ratio", "delta", "t_virial", "agreement"]
+                      "barrier_min_ratio", "delta", "t_virial", "m2_slope",
+                      "agreement"]
 CLASSIFICATION_KEYS = ["verdict", "product", "x_star", "energy_lhs",
                        "g_at_xstar", "margins"]
 CLASSIFICATION_MARGIN_KEYS = ["product", "energy"]
@@ -110,6 +113,7 @@ class TestConfig:
             "sim.blowup_factor = 1",
             "sim.record_every = 0",
             "grid.n = 1",
+            "grid.n = 1.5",  # does not parse as the field's type
             "grid.r_max = 0",
             "grid.r_max = inf",
             "selftest.n = 1",
@@ -195,6 +199,21 @@ class TestConfig:
     def test_unknown_command(self, tmp_path):
         cfg = write_cfg(tmp_path)
         assert main(["frobnicate", "--config", str(cfg)]) == EXIT_CONFIG
+
+    def test_help(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        assert "aggdiff dichotomy" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args, flag", [(["--bogus", "x"], "--bogus"), (["--out"], "--out")],
+                             ids=["unknown_flag", "flag_without_value"])
+    def test_unexpected_argument(self, tmp_path, capsys, args, flag):
+        cfg = write_cfg(tmp_path)
+        assert main(["validate", "--config", str(cfg), *args]) == EXIT_CONFIG
+        assert f"unexpected argument {flag!r}" in capsys.readouterr().err
+
+    def test_missing_config(self, capsys):
+        assert main(["validate"]) == EXIT_CONFIG
+        assert "missing --config PATH" in capsys.readouterr().err
 
 
 class TestValidate:
@@ -343,6 +362,18 @@ class TestEvolve:
         assert footer["records"] == len(lines) - 1
         assert (out / "final_state.csv").exists()
 
+    def test_ball_initial_data(self, tmp_path):
+        # the 96 cells of 384 whose centres lie inside r = 1 fill the ball
+        # of radius 96 dr = 1 exactly
+        cfg = write_cfg(tmp_path, "init.kind = ball\ninit.amplitude = 0.5\n"
+                                  "init.width = 1.0\nsim.t_end = 0.01\n")
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        first = (out / "trace.csv").read_text().splitlines()[1].split(",")
+        assert float(first[1]) == pytest.approx(0.5 * 4.0 / 3.0 * np.pi, rel=1e-12)
+        assert float(first[3]) == pytest.approx(0.5, rel=1e-12)
+        assert json.loads((out / "trace.json").read_text())["outcome"] == "CompletedBounded"
+
 
 class TestTraceDeterminism:
     def test_evolve_rerun_byte_identical(self, tmp_path):
@@ -401,6 +432,9 @@ class TestDichotomy:
         assert rows[1.2]["outcome"] == "BlowupDetected"
         assert rows[1.2]["barrier_min_ratio"] > 1.0
         assert rows[1.2]["t_detect"] is not None
+        # the recorded M2 falls at least as fast as the virial rate says
+        assert rows[1.2]["m2_slope"] <= -rows[1.2]["delta"] / _VIRIAL_SLACK
+        assert rows[0.8]["m2_slope"] > 0.0
         assert [row["agreement"] for row in payload["rows"]] == ["agrees", "agrees"]
         assert (out / "trace_kappa_0.8.csv").exists()
         assert (out / "trace_kappa_1.2.csv").exists()

@@ -346,14 +346,37 @@ class TestRun:
     @staticmethod
     def fake_step(monkeypatch, results):
         """Make run's steps return the given (factor, dt) in turn: the field
-        passed in scaled by factor, and dt as the step taken."""
-        results = iter(results)
+        passed in scaled by factor, and dt as the step taken; an exception
+        in results is raised instead.  Returns the list of the dt arguments
+        the steps were called with."""
+        results, calls = iter(results), []
 
         def fake(u, kernel, exps, cfg, dt=None):
-            factor, dt_taken = next(results)
+            calls.append(dt)
+            result = next(results)
+            if isinstance(result, Exception):
+                raise result
+            factor, dt_taken = result
             return u.with_values(factor * u.values), dt_taken
 
         monkeypatch.setattr("aggdiff.evolve.step", fake)
+        return calls
+
+    @pytest.mark.parametrize("results, calls", [
+        ([(1.0, 0.25), NonFiniteValue("step")], [None, None]),
+        # the final step, retaken to land on t_end, fails like any other
+        ([(1.0, 0.25), (1.0, 1.0), NonFiniteValue("retake")], [None, None, 0.75]),
+    ], ids=["mid_run", "retaken_final_step"])
+    def test_nonfinite_step_is_inconclusive(self, exps, grid, kernel, monkeypatch,
+                                            results, calls):
+        # a step that fails ends the run Inconclusive, with the last good
+        # state recorded
+        taken = self.fake_step(monkeypatch, results)
+        u0 = field_from_function(grid, lambda r: 0.3 * np.exp(-(r**2)))
+        tr = run(u0, SimConfig(t_end=1.0), kernel, exps)
+        assert taken == calls
+        assert tr.outcome is Outcome.INCONCLUSIVE and tr.t_detect is None
+        np.testing.assert_array_equal(tr.t, [0.0, 0.25])
 
     def test_collapsed_step_without_growth_is_inconclusive(self, exps, grid, kernel,
                                                            monkeypatch):
@@ -656,6 +679,18 @@ class TestHypothesisCheck:
             warnings.simplefilter("always")
             run(u0, SimConfig(t_end=0.01), build_kernel(grid, exps.lam), exps)
         assert sum("outer 5%" in str(w.message) for w in caught) == 1
+
+    def test_run_warns_when_mass_reaches_the_boundary(self, exps):
+        # data clear of the outer 5% that spreads into it: the time loop
+        # warns, once
+        grid = RadialGrid(64, 4.0)
+        u0 = field_from_function(grid, lambda r: 0.3 * np.maximum(1.0 - (r / 3.5) ** 2, 0.0))
+        assert hypothesis_check(u0, exps).support_clear_of_boundary
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(u0, SimConfig(t_end=0.1, record_every=1), build_kernel(grid, exps.lam), exps)
+        assert [str(w.message) for w in caught] == [
+            "mass reached the outer 5% of the domain; whole-space emulation degraded"]
 
     def test_nan_rejected(self, exps, grid):
         vals = np.zeros(grid.n)

@@ -7,7 +7,6 @@ import pytest
 from aggdiff import (
     ModelParams,
     NoConvergence,
-    NotConverged,
     RadialGrid,
     ZeroField,
     build_kernel,
@@ -224,11 +223,13 @@ class TestThresholdProfile:
 
     def test_requires_convergence(self, exps, profile_n512):
         import dataclasses
+        # the one error for a maximizer that did not converge, as from
+        # solve_extremal: NoConvergence with the profile attached
         broken = dataclasses.replace(profile_n512, converged=False)
-        with pytest.raises(NotConverged):
-            threshold_profile(broken, exps)
-        with pytest.raises(NotConverged):
-            compute_thresholds(broken, exps)
+        for thresholds_from in (threshold_profile, compute_thresholds):
+            with pytest.raises(NoConvergence, match="converged maximizer") as err:
+                thresholds_from(broken, exps)
+            assert err.value.profile is broken
 
     def test_scale_found_where_its_product_overflows(self):
         # m = 1.265: x_star is 2.5e262 and ||W||_inf^(a+m) 8e87, so their
