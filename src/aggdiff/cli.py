@@ -55,10 +55,11 @@ from .extremal import (
 from .field import (RadialField, RadialGrid, _write_csv, field_from_csv, field_from_function,
                     field_to_csv, pad_grid)
 from .params import ModelParams, derive_exponents, hls_sharp_constant
-from .riesz import build_kernel
+from .riesz import _symv as _symmetric_product, build_kernel
 from .testing import (exponent_identity_defect, kernel_symmetry_defect, mass_drift,
                       max_hls_ratio, random_density, rearrangement_loss,
-                      scale_invariance_defect, tridiagonal_solve_defect)
+                      scale_invariance_defect, symmetric_product_defect,
+                      tridiagonal_solve_defect)
 
 __all__ = ["main", "RunConfig", "load_config"]
 
@@ -358,8 +359,9 @@ def cmd_dichotomy(cfg: RunConfig, out: str | None) -> int:
 def _selftest_checks(cfg: RunConfig):
     """The invariant battery: name -> (measure, bound[, note]).  A check
     passes when its measure (an aggdiff.testing figure, worst case) is <= its
-    bound; a note, such as which tridiagonal solve ran, ends its line.  The
-    density measures share one seeded stream, so they run in table order."""
+    bound; a note, such as which tridiagonal solve or whole-grid product
+    ran, ends its line.  The density measures share one seeded stream, so
+    they run in table order."""
     exps = derive_exponents(cfg.params)
     grid = RadialGrid(cfg.selftest_n, 8.0)
     kernel = build_kernel(grid, exps.lam)
@@ -382,6 +384,8 @@ def _selftest_checks(cfg: RunConfig):
         "tridiagonal_solve": (lambda: tridiagonal_solve_defect(
             random_density(grid, rng), exps, kernel), 1e-13,
             f"solve: {_tridiagonal_solve.__name__.lstrip('_')}"),
+        "symmetric_product": (lambda: symmetric_product_defect(kernel, rng), 1e-13,
+                              f"product: {_symmetric_product.__name__.lstrip('_')}"),
     }
 
 

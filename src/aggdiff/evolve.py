@@ -20,7 +20,8 @@ so the outward flux at the new time level is
 At the current state F_f is the explicit upwind flux u_k v_f, so the
 semi-discrete scheme, its steady states and mu as the exact variational
 derivative of the discrete free energy are those of the explicit scheme.
-functionals._face_system builds this system for `step` and the diagnostics.
+functionals._face_system builds this system for `step` and the diagnostics,
+once per state.
 No flux crosses r = 0 (zero face area) or r = r_max.
 
 A sweep S(u, dt) solves V u_new + dt (flux differences) = V u: a
@@ -67,7 +68,7 @@ from .errors import NonFiniteValue, UnsupportedDimension
 from .field import RadialField, _write_csv, lp_norm, mass, second_moment
 from .functionals import _face_system, _upwind_flux, dissipation, free_energy
 from .params import Exponents
-from .riesz import ReducedKernel
+from .riesz import ReducedKernel, _openblas
 
 __all__ = [
     "SimConfig",
@@ -164,10 +165,8 @@ def _thomas(lower, diag, upper, rhs) -> list:
 def _lapack_gtsv():
     """LAPACK dgtsv from the ILP64 scipy-openblas numpy links (else None): a
     solve like _thomas that overwrites its float64 arrays."""
-    try:
-        from numpy.linalg import _umath_linalg
-        gtsv = ctypes.CDLL(_umath_linalg.__file__).scipy_dgtsv_64_
-    except (ImportError, OSError, AttributeError):
+    gtsv = _openblas("scipy_dgtsv_64_")
+    if gtsv is None:
         return None
     gtsv.argtypes, gtsv.restype = [ctypes.c_void_p] * 8, None
     one = ctypes.byref(ctypes.c_int64(1))
@@ -242,7 +241,7 @@ def step(
     half = RadialField(grid, _sweep(u, op, 0.5 * dt))
     two = _sweep(half, _face_system(half, exps, kernel), 0.5 * dt)
     new = 2.0 * two - _sweep(u, op, dt)
-    if not np.all(np.isfinite(new)):
+    if not np.isfinite(new).all():
         raise NonFiniteValue("non-finite value produced by time step")
     new = two if new.min() < -_ROUNDOFF * new.max() else np.maximum(new, 0.0)
     return RadialField(grid, new), float(dt)

@@ -13,11 +13,14 @@ The per-pair weights form dense tables, filled on first use, making
 potential evaluation a matrix-vector product.  The cell potential and
 the interaction energy read one operator, the volume-symmetrized weights;
 potential_at gives raw values at any radius, by the same antiderivatives.
-The interaction operator is stored pre-symmetrized as one leading block
-[0, E), grown by powers of two to the cells a product reads, and applied
-only to the support of the density: a density on 150 of 1,140 cells costs
-a 256 x 256 block, whose square [0, e) alone gives its interaction energy,
-e the support extent.
+The interaction operator is stored as the exactly symmetric volume-weighted
+S = (V pot + pot^T V)/2, one leading block [0, E) grown by powers of two to
+the cells a product reads, and applied only to the support of the density:
+a density on 150 of 1,140 cells costs a 256 x 256 block, whose square
+[0, e) alone gives its interaction energy, e the support extent.  A product
+over the whole grid, sources and targets, reads one triangle of S through
+BLAS dsymv from the scipy-openblas numpy links (the gemv on the square
+elsewhere); every other product is a gemv on its rectangle.
 
 On the uniform grid the tables are assembled in unit coordinates (radii
 divided by dr).  Targets sit at the cell centres i + 1/2 (potential) or the
@@ -36,6 +39,7 @@ computes each chunk's pot rows and columns, building no E x E pot.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
 
@@ -61,8 +65,54 @@ _CHUNK = 32
 
 def _support_extent(values: np.ndarray) -> int:
     """Index of the last nonzero cell plus one (0 for the zero field)."""
-    nonzero = np.flatnonzero(values)
+    nonzero = values.nonzero()[0]
     return int(nonzero[-1]) + 1 if nonzero.size else 0
+
+
+def _openblas(symbol: str):
+    """The function symbol of the ILP64 scipy-openblas that numpy links and
+    has already loaded, through ctypes; None on numpy builds without it."""
+    try:
+        from numpy.linalg import _umath_linalg
+        return getattr(ctypes.CDLL(_umath_linalg.__file__), symbol)
+    except (ImportError, OSError, AttributeError):
+        return None
+
+
+def _gemv(block: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """block @ x[:n] for an n x n block: the reference whole-grid product,
+    and the one numpy builds without dsymv use."""
+    return block @ x[: len(block)]
+
+
+def _blas_dsymv():
+    """BLAS dsymv (else None): block @ x[:n] for an exactly symmetric
+    C-ordered n x n float64 block, from one of its triangles."""
+    symv = _openblas("scipy_dsymv_64_")
+    if symv is None:
+        return None
+    symv.argtypes, symv.restype = [ctypes.c_void_p] * 10, None
+    # the Fortran upper triangle of a C-ordered block is its lower one
+    upper, one = ctypes.c_char_p(b"U"), ctypes.byref(ctypes.c_int64(1))
+    alpha, beta = ctypes.byref(ctypes.c_double(1.0)), ctypes.byref(ctypes.c_double(0.0))
+
+    def blas_dsymv(block, x):
+        n = len(block)
+        # dsymv reads n x n doubles of block and n of x through the pointers
+        if block.shape != (n, n) or x.ndim != 1 or len(x) < n \
+                or not all(a.dtype == np.float64 and a.flags.c_contiguous for a in (block, x)):
+            raise ValueError("dsymv needs a C-contiguous float64 square and vector")
+        y = np.empty(n)
+        size = ctypes.byref(ctypes.c_int64(n))
+        symv(upper, size, alpha, block.ctypes.data, size, x.ctypes.data, one, beta,
+             y.ctypes.data, one)
+        return y
+
+    return blas_dsymv
+
+
+# the whole-grid product, chosen once at import
+_symv = _blas_dsymv() or _gemv
 
 
 def _shell_integral(r: np.ndarray, a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
@@ -227,9 +277,9 @@ class ReducedKernel:
                 V_j pot[j, i], agree to discretization accuracy.
     frc[f, j]   radial derivative of the plain potential at face f (the face
                 at r = 0 is zero by symmetry).  Read by force() and the benchmark.
-    sym[i, j]   the interaction operator 0.5 (pot[i, j] + pot[j, i] V_j / V_i),
-                i.e. V^-1 S with S = (V pot + pot^T V)/2 exactly symmetric:
-                the one operator potential() and interaction() apply.
+    sym[i, j]   the volume-weighted interaction operator S = (V pot +
+                pot^T V)/2, 0.5 (V_i pot[i, j] + V_j pot[j, i]), symmetric
+                bit for bit: potential() and interaction() apply V^-1 S.
 
     pot and frc are filled in full on first read unless passed in (as by
     dataclasses.replace), which pins them; a pinned table must have the
@@ -241,7 +291,9 @@ class ReducedKernel:
     sym is held as its leading block sym[:E, :E], rebuilt at the next power
     of two (64 up to n) when a product reads cells past E, from pot[:E, :E]
     if pot is present (so a replaced pot gets its own operator) or else from
-    pot rows and columns per chunk: bit-identical to the full operator's prefix.
+    pot rows and columns per chunk: bit-identical to the full operator's
+    prefix.  A product over the whole grid reads one triangle (BLAS dsymv
+    where numpy links scipy-openblas), any other a rectangle (gemv).
     Every fill runs on the calling thread; one that raises keeps nothing, so
     the next read fills afresh.  The weights never change, but as the tables
     fill on first use, kernels compare by identity.
@@ -279,26 +331,24 @@ class ReducedKernel:
             h, windows, windows_t = _pot_windows(size, t)
         buf = np.empty((4, (min(_CHUNK, size) + 1) * (size + 1)))
         volumes = self.grid.volumes[:size]
-        # chunk [c, d) fills sym[c:d, c:] and sym[c:, c:d] from pot[c:d, c:] and
-        # pot[c:, c:d]; row-major, since an F-ordered block rounds differently
+        # chunk [c, d) computes sym[c:d, c:] from pot[c:d, c:] and pot[c:, c:d]
+        # and writes it and its transpose: a sum commutes, so sym == sym.T bit
+        # for bit; row-major, since an F-ordered block rounds differently
         block = np.empty((size, size))
         for c in range(0, size, _CHUNK):
             d = min(c + _CHUNK, size)
-            tmp, pot_t, pot_rows = (b[: (d - c) * (size - c)].reshape(d - c, size - c)
-                                    for b in buf[1:])
+            rows, cols = (b[: (d - c) * (size - c)].reshape(d - c, size - c) for b in buf[2:])
             if pot is None:
-                _pot_rows(pot_t, buf[:2], windows_t, np.s_[c : d + 1, c:], h[c:size], coef)
-                _pot_rows(pot_rows, buf[:2], windows, np.s_[c:d, c:], h[c:d, None], coef)
+                _pot_rows(cols, buf[:2], windows_t, np.s_[c : d + 1, c:], h[c:size], coef)
+                _pot_rows(rows, buf[:2], windows, np.s_[c:d, c:], h[c:d, None], coef)
+                rows *= volumes[c:d, None]
             else:
-                pot_t[...], pot_rows = pot[c:size, c:d].T, pot[c:d, c:size]
-            # sym[c:, c:d].T into tmp, then sym[c:d, c:] over pot_t
-            for out, p, q, v, w in ((tmp, pot_rows, pot_t, volumes[c:d, None], volumes[c:]),
-                                    (pot_t, pot_t, pot_rows, volumes[c:], volumes[c:d, None])):
-                np.multiply(p, v, out=out)
-                out /= w
-                out += q
-                out *= 0.5
-            block[c:, c:d], block[c:d, c:] = tmp.T, pot_t
+                cols[...] = pot[c:size, c:d].T
+                np.multiply(pot[c:d, c:size], volumes[c:d, None], out=rows)
+            cols *= volumes[c:]
+            rows += cols
+            rows *= 0.5
+            block[c:d, c:], block[c:, c:d] = rows, rows.T
         block.flags.writeable = False
         self.__dict__["_block"] = block
         return block
@@ -319,14 +369,23 @@ class ReducedKernel:
         extent of values (scanned when not given); this is exact, since
         empty cells contribute nothing.  The result covers target cells
         [0, rows), all of them by default; the block grows to cover both,
-        unless extent is 0: the zero field's product reads no block."""
+        unless extent is 0: the zero field's product reads no block.  With
+        rows and extent both the whole grid, values must be a C-contiguous
+        float64 vector (ValueError otherwise, where dsymv runs) and the last
+        bits follow OpenBLAS's thread count, as a gemv's do."""
         if extent is None:
             extent = _support_extent(values)
         if rows is None:
             rows = self.grid.n
         if extent == 0:
             return np.zeros(rows)
-        return self._operator(max(rows, extent))[:rows, :extent] @ values[:extent]
+        block = self._operator(max(rows, extent))
+        if rows == extent == self.grid.n:
+            out = _symv(block, values)
+        else:
+            out = block[:rows, :extent] @ values[:extent]
+        out /= self.grid.volumes[:rows]
+        return out
 
 
 def build_kernel(grid: RadialGrid, lam: float) -> ReducedKernel:
@@ -379,8 +438,10 @@ def interaction(u: RadialField, kernel: ReducedKernel) -> float:
     prefactor): an exactly symmetric, nonnegative quadratic form in u.
 
     Computed on the support [0, e) alone, e its extent, as (u V)[:e] .
-    (sym[:e, :e] u[:e]); its last bit may differ from a product over more
-    rows, as BLAS groups a matrix-vector product's rows by row and thread count."""
+    (sym[:e, :e] u[:e] / V[:e]); its last bit may differ from a product
+    over more rows, as BLAS groups a matrix-vector product's rows by row
+    and thread count, and on a full support (one triangle, by dsymv) from
+    a gemv's."""
     fac = _scale_factor(kernel, u.grid, 0.0)
     e = _support_extent(u.values)
     phi = kernel.interaction_matvec(u.values, rows=e, extent=e)

@@ -18,11 +18,12 @@ from .field import (RadialField, RadialGrid, apply_dynamic_scaling, field_from_f
                     mass, rearrange_decreasing, scale_field)
 from .functionals import _face_system, energy_report, vhls_quotient
 from .params import Exponents, ModelParams, derive_exponents, hls_sharp_constant
-from .riesz import ReducedKernel, interaction
+from .riesz import ReducedKernel, _gemv, _symv, interaction
 
 __all__ = ["random_density", "trial_densities", "exponent_identity_defect",
            "max_hls_ratio", "scale_invariance_defect", "rearrangement_loss",
-           "kernel_symmetry_defect", "mass_drift", "tridiagonal_solve_defect"]
+           "kernel_symmetry_defect", "mass_drift", "tridiagonal_solve_defect",
+           "symmetric_product_defect"]
 
 
 def random_density(grid: RadialGrid, rng: np.random.Generator) -> RadialField:
@@ -172,3 +173,12 @@ def tridiagonal_solve_defect(u: RadialField, exps: Exponents,
     want = np.asarray(_thomas(*system))
     got = _solve(*(a.copy() for a in system))
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def symmetric_product_defect(kernel: ReducedKernel, rng: np.random.Generator) -> float:
+    """Largest difference between the whole-grid product of the operator and
+    the gemv reference on a random density, relative to the largest
+    reference value; 0 where the product is that gemv itself."""
+    sym, u = kernel.sym, random_density(kernel.grid, rng).values
+    want = _gemv(sym, u)
+    return float(np.max(np.abs(_symv(sym, u) - want)) / np.max(np.abs(want)))

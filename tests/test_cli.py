@@ -526,7 +526,7 @@ class TestCoarseGridWarning:
 
 SELFTEST_NAMES = ["exponent_identities", "hls_bound", "scale_invariance",
                   "rearrangement_monotonicity", "kernel_symmetry", "mass_conservation",
-                  "tridiagonal_solve"]
+                  "tridiagonal_solve", "symmetric_product"]
 
 
 class TestSelftest:
@@ -540,14 +540,17 @@ class TestSelftest:
     def test_report_lists_figures_within_bounds(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "selftest.n = 160\n")
         assert main(["selftest", "--config", str(cfg)]) == EXIT_OK
-        rows = [re.fullmatch(r"PASS  (\w+) +(\S+)  \(bound (\S+)\)(?:  solve: (\w+))?", line)
+        rows = [re.fullmatch(r"PASS  (\w+) +(\S+)  \(bound (\S+)\)(?:  (\w+): (\w+))?", line)
                 for line in capsys.readouterr().out.splitlines()]
         assert all(rows)
         assert [row[1] for row in rows] == SELFTEST_NAMES
         assert all(0.0 <= float(row[2]) <= float(row[3]) for row in rows)
-        # only the tridiagonal row names a solve: the one every sweep ran
-        assert [row[4] for row in rows[:-1]] == [None] * (len(rows) - 1)
-        assert rows[-1][4] == aggdiff.evolve._solve.__name__.lstrip("_")
+        # only the last two rows carry a note: the solve every sweep ran and
+        # the whole-grid product every full-support potential ran
+        assert [row[4] for row in rows[:-2]] == [None] * (len(rows) - 2)
+        assert [row.group(4, 5) for row in rows[-2:]] == [
+            ("solve", aggdiff.evolve._solve.__name__.lstrip("_")),
+            ("product", aggdiff.riesz._symv.__name__.lstrip("_"))]
 
     def test_corrupted_kernel_fails_named_check(self, tmp_path, capsys, monkeypatch):
         def doubled_kernel(grid, lam):

@@ -26,7 +26,7 @@ from aggdiff import (
     step,
     virial_check,
 )
-from aggdiff import evolve
+from aggdiff import evolve, functionals
 from aggdiff.evolve import _ROUNDOFF, _sweep, _sweep_system, _thomas
 from aggdiff.functionals import _face_system
 from aggdiff.testing import mass_drift
@@ -337,6 +337,43 @@ class TestRun:
         last = dts(1)[-1]
         assert dts(7)[-1] == last
         np.testing.assert_array_equal(dts(10**9), [0.0, last])
+
+    def test_one_face_system_per_state(self, exps, monkeypatch):
+        # with a record after every step, each state's dissipation and the
+        # step from it share one face system (one potential each on a full
+        # support), and the run is bit-identical to one that builds it at
+        # every call
+        grid = RadialGrid(256, 8.0)
+        kernel = build_kernel(grid, exps.lam)
+        u0 = field_from_function(grid, lambda r: 0.5 * np.exp(-(r**2)))
+        cfg = SimConfig(t_end=0.05, record_every=1)
+        states = []
+        potential = functionals.potential
+
+        def counting(u, *args, **kwargs):
+            states.append(u)
+            return potential(u, *args, **kwargs)
+
+        monkeypatch.setattr(functionals, "potential", counting)
+        once = run(u0, cfg, kernel, exps)
+        # each kept state and each half step's state, ids held alive
+        assert len(states) == len({id(u) for u in states}) >= 2 * len(once.t) - 1
+        builds = len(states)
+        states.clear()
+        original = functionals._face_system
+
+        def afresh(u, *args):
+            u.__dict__.pop("_face_system", None)
+            return original(u, *args)
+
+        monkeypatch.setattr(functionals, "_face_system", afresh)
+        monkeypatch.setattr(evolve, "_face_system", afresh)
+        every = run(u0, cfg, kernel, exps)
+        # one more per record but the last (and per retaken final step)
+        assert len(states) >= builds + len(every.t) - 1
+        for name in evolve._COLUMNS:
+            np.testing.assert_array_equal(getattr(once, name), getattr(every, name))
+        np.testing.assert_array_equal(once.final.values, every.final.values)
 
     def test_trace_time_strictly_increasing(self, exps, grid, kernel):
         u0 = field_from_function(grid, lambda r: 0.3 * np.exp(-(r**2)))

@@ -3,6 +3,7 @@ invariances, barrier function identities, and the scheme's dissipation."""
 
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from aggdiff import (
     vhls_quotient,
     xstar_threshold,
 )
+from aggdiff.functionals import _face_system
 from aggdiff.testing import max_hls_ratio, random_density, scale_invariance_defect
 
 from test_riesz import oracle_interaction
@@ -206,6 +208,25 @@ class TestDissipation:
         rate = (free_energy(u, exps, kernel) - free_energy(u_h, exps, kernel)) / h
         dis = dissipation(u, exps, kernel)
         assert abs(rate - dis) <= 1e-5 * dis
+
+    def test_face_system_kept_on_the_field(self, exps, grid, kernel):
+        # built once per (field, exps, kernel): a record's dissipation and the
+        # step from that state share it, read-only
+        u = field_from_function(grid, lambda r: 0.8 * np.exp(-(r**2)))
+        system = _face_system(u, exps, kernel)
+        assert _face_system(u, exps, kernel) is system
+        assert not any(a.flags.writeable for a in system[1:])
+        # other exps or kernel objects, even equal ones, build their own
+        other = build_kernel(grid, kernel.lam)
+        for args in ((dataclasses.replace(exps), kernel), (exps, other)):
+            again = _face_system(u, *args)
+            assert again is not system
+            for a, b in zip(again, system):
+                np.testing.assert_array_equal(a, b)
+        # the field keeps no kernel alive
+        held = weakref.ref(other)
+        del other, args
+        assert held() is None
 
     def test_drift_square_term_bounded(self, exps, grid, kernel):
         # int u |grad c|^2 <= C ||u||_q^3 with q = 3d/(d-2(1-2s)); fit C on

@@ -2,6 +2,7 @@
 sharp interaction bound, and rearrangement monotonicity."""
 
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
@@ -128,11 +129,13 @@ class TestBuild:
         assert kernel_symmetry_defect(kernel1024, np.random.default_rng(1)) <= 1e-13
 
     def test_operator_layout(self, grid1024, kernel1024):
-        # sym is 0.5 (pot_ij + pot_ji V_j / V_i), evaluated in that order, and
+        # sym is S = 0.5 (V_i pot_ij + V_j pot_ji), evaluated in that order,
+        # symmetric bit for bit (dsymv reads one triangle of it), and
         # row-major: the windowed products slice its rows and leading columns
-        V, pot, sym = grid1024.volumes, kernel1024.pot, kernel1024.sym
+        weighted, sym = grid1024.volumes[:, None] * kernel1024.pot, kernel1024.sym
         assert sym.flags.c_contiguous and not sym.flags.writeable
-        np.testing.assert_array_equal(sym, 0.5 * (pot + pot.T * V / V[:, None]))
+        np.testing.assert_array_equal(sym, 0.5 * (weighted + weighted.T))
+        np.testing.assert_array_equal(sym, sym.T)
 
     def test_delta_bump_at_origin_value(self):
         # concentrated shell at r0 with mass M: potential at 0 -> M / r0^lam
@@ -231,7 +234,12 @@ class TestOperatorBlock:
         fresh = build_kernel(grid, LAM)
         for u, part in zip(fields, parts):
             full = fresh.interaction_matvec(u)
-            np.testing.assert_array_equal(part, full[: len(part)])
+            if len(part) == grid.n:
+                np.testing.assert_array_equal(part, full)
+            else:
+                # an e-row and an n-row gemv split rows differently between
+                # OpenBLAS threads, which can move a last bit
+                np.testing.assert_allclose(part, full[: len(part)], rtol=1e-15, atol=0.0)
             np.testing.assert_array_equal(grown.interaction_matvec(u), full)
         np.testing.assert_array_equal(grown.sym, fresh.sym)
 
@@ -242,12 +250,14 @@ class TestOperatorBlock:
         # chunks included, give the block derived from a pinned full pot,
         # and the operator's formula on that pot, bit for bit
         grid = RadialGrid(n, 4.0)
-        V = grid.volumes
         filled = build_kernel(grid, lam)
         pot = riesz._pot_table(n, *filled._unit(3.0))
         derived = riesz.ReducedKernel(grid, lam, pot=pot)
+        weighted = grid.volumes[:, None] * pot
         np.testing.assert_array_equal(filled.sym, derived.sym)
-        np.testing.assert_array_equal(filled.sym, 0.5 * (pot + pot.T * V / V[:, None]))
+        np.testing.assert_array_equal(filled.sym, 0.5 * (weighted + weighted.T))
+        for sym in (filled.sym, derived.sym):
+            np.testing.assert_array_equal(sym, sym.T)
         assert filled.__dict__["_pot"] is None
 
     def test_fill_builds_no_square_temporary(self):
@@ -296,12 +306,13 @@ class TestOperatorBlock:
         kernel = build_kernel(grid, LAM)
         u = np.zeros(n)
         u[:extent] = np.random.default_rng(extent).random(extent) + 0.1
+        V = grid.volumes
         for fac, on in ((1.0, grid), (2.0 ** (3.0 - LAM), RadialGrid(n, 2.0 * r_max))):
             h = interaction(field_from_values(on, u), kernel)
             uv = u * on.volumes
             sym = kernel.sym
-            assert h == fac * (uv[:extent] @ (sym[:extent, :extent] @ u[:extent]))
-            full = fac * (uv @ (sym[:, :extent] @ u[:extent]))
+            assert h == fac * (uv[:extent] @ (sym[:extent, :extent] @ u[:extent] / V[:extent]))
+            full = fac * (uv @ (sym[:, :extent] @ u[:extent] / V))
             assert abs(h - full) <= 1e-15 * full
 
     def test_identity_equality(self):
@@ -413,6 +424,88 @@ class TestInteractionMatvec:
             doubled.interaction_matvec(u), 2.0 * kernel1024.interaction_matvec(u),
             rtol=1e-14, atol=0.0,
         )
+
+
+class TestSymmetricProduct:
+    """A product over the whole grid reads one triangle of the symmetric
+    operator (BLAS dsymv where numpy links the ILP64 scipy-openblas), against
+    gemv on the square, the reference and fallback."""
+
+    @pytest.mark.parametrize("n", [64, 257, 512, 1025])
+    def test_matches_gemv(self, n):
+        grid = RadialGrid(n, 4.0)
+        kernel = build_kernel(grid, LAM)
+        sym, V = kernel.sym, grid.volumes
+        rng = np.random.default_rng(n)
+        whole = rng.random(n) + 0.1
+        window = np.where(np.arange(n) < n // 3, whole, 0.0)
+        for u in (whole, window):
+            want = riesz._gemv(sym, u)
+            np.testing.assert_allclose(riesz._symv(sym, u), want, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(kernel.interaction_matvec(u), want / V,
+                                       rtol=1e-13, atol=0.0)
+
+    def test_whole_grid_alone_selects_symv(self, monkeypatch):
+        grid = RadialGrid(300, 4.0)
+        kernel = build_kernel(grid, LAM)
+        calls = []
+
+        def recording(block, x):
+            calls.append(len(block))
+            return riesz._gemv(block, x)
+
+        monkeypatch.setattr(riesz, "_symv", recording)
+        u = np.ones(grid.n)
+        for rows, extent in ((None, None), (grid.n, grid.n)):
+            kernel.interaction_matvec(u, rows=rows, extent=extent)
+        assert calls == [grid.n, grid.n]
+        # a block square short of the grid, or a rectangle, stays a gemv
+        for rows, extent in ((256, 256), (grid.n, 299), (299, grid.n), (1, 1)):
+            kernel.interaction_matvec(u, rows=rows, extent=extent)
+        assert calls == [grid.n, grid.n]
+
+    def test_gemv_fallback_run_matches(self, exps, monkeypatch):
+        # the energy_budget Gaussian, on numpy builds without dsymv
+        grid = RadialGrid(512, 8.0)
+        kernel = build_kernel(grid, exps.lam)
+        u0 = field_from_function(grid, lambda r: 0.5 * np.exp(-(r**2)))
+        cfg = ag.SimConfig(t_end=0.05, record_every=5)
+        loaded = ag.run(u0, cfg, kernel, exps)
+        monkeypatch.setattr(riesz, "_openblas", lambda symbol: None)
+        assert riesz._blas_dsymv() is None
+        monkeypatch.setattr(riesz, "_symv", riesz._gemv)
+        fallback = ag.run(u0, cfg, kernel, exps)
+        assert loaded.outcome is fallback.outcome is ag.Outcome.COMPLETED_BOUNDED
+        assert len(loaded.t) == len(fallback.t) > 5
+        for name in ag.evolve._COLUMNS:
+            np.testing.assert_allclose(getattr(fallback, name), getattr(loaded, name),
+                                       rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(fallback.final.values, loaded.final.values,
+                                   rtol=1e-12, atol=1e-300)
+
+    def test_blas_loaded_where_numpy_links_scipy_openblas(self):
+        # numpy's Linux wheels link the ILP64 scipy-openblas, which exports
+        # scipy_dsymv_64_: there gemv must not be the whole-grid product
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        if not (sys.platform.startswith("linux") and blas == "scipy-openblas"):
+            pytest.skip(f"numpy links {blas} on {sys.platform}")
+        assert riesz._symv is not riesz._gemv
+
+    def test_invalid_arguments_raise(self):
+        # arrays dsymv would overrun or misread never reach it
+        if riesz._symv is riesz._gemv:
+            pytest.skip("gemv is the whole-grid product")
+        block = build_kernel(RadialGrid(8, 1.0), LAM).sym
+        np.testing.assert_allclose(riesz._symv(block, np.ones(9)), block.sum(axis=1),
+                                   rtol=1e-15)
+        for x in (np.ones(7), np.ones(16)[::2], np.ones(8, np.float32),
+                  np.ones(8, np.int64), np.ones((8, 1)), np.ones((1, 8))):
+            with pytest.raises(ValueError):
+                riesz._symv(block, x)
+        for bad in (block[:4, :4][:, ::2], np.asfortranarray(block[:, :7])[:7],
+                    block.astype(np.float32)):
+            with pytest.raises(ValueError):
+                riesz._symv(bad, np.ones(8))
 
 
 class TestPotential:
