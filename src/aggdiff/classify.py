@@ -20,7 +20,7 @@ import numpy as np
 
 from .evolve import Outcome, SimTrace
 from .field import RadialField
-from .functionals import Thresholds, energy_report
+from .functionals import Thresholds, _moment_rate, energy_report
 from .params import Exponents
 from .riesz import ReducedKernel
 
@@ -103,11 +103,9 @@ def classify(
 
     delta = t_virial = None
     if verdict is Verdict.FINITE_TIME_BLOWUP:
-        # M2' = 2(d-2s) F + (2d - 2(d-2s)/(m-1)) ||u||_m^m, with F <= F(u0)
-        # and ||u||_m^m >= x_star / ||u0||_1^a while the product stays above
-        lam = exps.d - 2.0 * exps.s
-        delta = -(2.0 * lam * rep.free_energy
-                  + (2.0 * exps.d - 2.0 * lam / (exps.m - 1.0)) * x_star / rep.mass**exps.a)
+        # M2' = _moment_rate(F, ||u||_m^m), with F <= F(u0) and ||u||_m^m >=
+        # x_star / ||u0||_1^a while the product stays above
+        delta = -_moment_rate(exps, rep.free_energy, x_star / rep.mass**exps.a)
         t_virial = rep.second_moment / delta
 
     return Classification(

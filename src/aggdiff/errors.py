@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["RegimeError", "ZeroField", "GridMismatch", "UnsupportedDimension", "NoConvergence",
+           "NonFiniteValue"]
+
 
 class RegimeError(ValueError):
     """Model parameters violate the supercritical parameter regime."""

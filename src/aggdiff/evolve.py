@@ -66,7 +66,7 @@ import numpy as np
 
 from .errors import NonFiniteValue, UnsupportedDimension
 from .field import RadialField, _write_csv, lp_norm, mass, second_moment
-from .functionals import _face_system, _upwind_flux, dissipation, free_energy
+from .functionals import _face_system, _moment_rate, _upwind_flux, dissipation, free_energy
 from .params import Exponents
 from .riesz import ReducedKernel, _openblas
 
@@ -165,10 +165,9 @@ def _thomas(lower, diag, upper, rhs) -> list:
 def _lapack_gtsv():
     """LAPACK dgtsv from the ILP64 scipy-openblas numpy links (else None): a
     solve like _thomas that overwrites its float64 arrays."""
-    gtsv = _openblas("scipy_dgtsv_64_")
+    gtsv = _openblas("scipy_dgtsv_64_", 8)
     if gtsv is None:
         return None
-    gtsv.argtypes, gtsv.restype = [ctypes.c_void_p] * 8, None
     one = ctypes.byref(ctypes.c_int64(1))
 
     def lapack_dgtsv(lower, diag, upper, rhs):
@@ -393,19 +392,15 @@ def virial_check(
 ) -> tuple[float, float]:
     """Instantaneous second-moment balance.
 
-    rhs is the exact identity (2d - 2(d-2s)/(m-1)) int u^m + 2(d-2s) F(u);
+    rhs is the exact identity functionals._moment_rate at F(u) and int u^m;
     lhs sums r^2 times the divergence of the upwind face flux at u (the one
     `dissipation` reads), the rate of `step` as dt -> 0.  The two agree up
     to discretization error, and both vanish at the threshold steady
     profile.
     """
-    d, s, m = exps.d, exps.s, exps.m
-    if d != 3:
+    if exps.d != 3:
         raise UnsupportedDimension("the discrete moment flux requires d = 3")
-    um_int = lp_norm(u, m) ** m
-    rhs = (2.0 * d - 2.0 * (d - 2.0 * s) / (m - 1.0)) * um_int \
-        + 2.0 * (d - 2.0 * s) * free_energy(u, exps, kernel)
-
+    rhs = _moment_rate(exps, free_energy(u, exps, kernel), lp_norm(u, exps.m) ** exps.m)
     flux, _ = _upwind_flux(u, exps, kernel)
     w = len(flux) - 1  # the window; the divergence vanishes beyond it
     lhs = float((flux[:-1] - flux[1:]) / u.grid.volumes[:w] @ u.grid.moment_weights[:w])

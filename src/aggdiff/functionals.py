@@ -192,6 +192,12 @@ def xstar_threshold(exps: Exponents, cstar: float) -> Thresholds:
     return Thresholds(x_star=float(x_star), g_at_xstar=float(g_star), cstar=float(cstar))
 
 
+def _moment_rate(exps: Exponents, F: float, lm_m: float) -> float:
+    """The virial rate 2 lam F + (2d - 2 lam/(m-1)) lm_m, lam = d - 2s: the
+    second moment's time derivative at free energy F and ||u||_m^m = lm_m."""
+    return 2.0 * exps.lam * F + (2.0 * exps.d - 2.0 * exps.lam / (exps.m - 1.0)) * lm_m
+
+
 def dissipation(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> float:
     """The scheme's own dissipation D_h = sum_f F_f v_f dr, with F_f = A_f
     u_(k_f) v_f the upwind face flux of _face_system, the one `step` solves.

@@ -20,7 +20,8 @@ a density on 150 of 1,140 cells costs a 256 x 256 block, whose square
 [0, e) alone gives its interaction energy, e the support extent.  A product
 over the whole grid, sources and targets, reads one triangle of S through
 BLAS dsymv from the scipy-openblas numpy links (the gemv on the square
-elsewhere); every other product is a gemv on its rectangle.
+elsewhere); every other product is a gemv on its rectangle.  Each accepts
+any 1-D numeric vector and returns float64.
 
 On the uniform grid the tables are assembled in unit coordinates (radii
 divided by dr).  Targets sit at the cell centres i + 1/2 (potential) or the
@@ -69,14 +70,17 @@ def _support_extent(values: np.ndarray) -> int:
     return int(nonzero[-1]) + 1 if nonzero.size else 0
 
 
-def _openblas(symbol: str):
+def _openblas(symbol: str, nargs: int):
     """The function symbol of the ILP64 scipy-openblas that numpy links and
-    has already loaded, through ctypes; None on numpy builds without it."""
+    has already loaded, through ctypes, typed as a subroutine of nargs
+    pointer arguments; None on numpy builds without it."""
     try:
         from numpy.linalg import _umath_linalg
-        return getattr(ctypes.CDLL(_umath_linalg.__file__), symbol)
+        func = getattr(ctypes.CDLL(_umath_linalg.__file__), symbol)
     except (ImportError, OSError, AttributeError):
         return None
+    func.argtypes, func.restype = [ctypes.c_void_p] * nargs, None
+    return func
 
 
 def _gemv(block: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -87,11 +91,11 @@ def _gemv(block: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _blas_dsymv():
     """BLAS dsymv (else None): block @ x[:n] for an exactly symmetric
-    C-ordered n x n float64 block, from one of its triangles."""
-    symv = _openblas("scipy_dsymv_64_")
+    C-ordered n x n float64 block, from one of its triangles, and any 1-D
+    numeric x of at least n entries, copied to contiguous float64 if not so."""
+    symv = _openblas("scipy_dsymv_64_", 10)
     if symv is None:
         return None
-    symv.argtypes, symv.restype = [ctypes.c_void_p] * 10, None
     # the Fortran upper triangle of a C-ordered block is its lower one
     upper, one = ctypes.c_char_p(b"U"), ctypes.byref(ctypes.c_int64(1))
     alpha, beta = ctypes.byref(ctypes.c_double(1.0)), ctypes.byref(ctypes.c_double(0.0))
@@ -100,8 +104,9 @@ def _blas_dsymv():
         n = len(block)
         # dsymv reads n x n doubles of block and n of x through the pointers
         if block.shape != (n, n) or x.ndim != 1 or len(x) < n \
-                or not all(a.dtype == np.float64 and a.flags.c_contiguous for a in (block, x)):
-            raise ValueError("dsymv needs a C-contiguous float64 square and vector")
+                or block.dtype != np.float64 or not block.flags.c_contiguous:
+            raise ValueError("dsymv needs a C-contiguous float64 square and a 1-D vector as long")
+        x = np.ascontiguousarray(x, dtype=np.float64)
         y = np.empty(n)
         size = ctypes.byref(ctypes.c_int64(n))
         symv(upper, size, alpha, block.ctypes.data, size, x.ctypes.data, one, beta,
@@ -369,10 +374,9 @@ class ReducedKernel:
         extent of values (scanned when not given); this is exact, since
         empty cells contribute nothing.  The result covers target cells
         [0, rows), all of them by default; the block grows to cover both,
-        unless extent is 0: the zero field's product reads no block.  With
-        rows and extent both the whole grid, values must be a C-contiguous
-        float64 vector (ValueError otherwise, where dsymv runs) and the last
-        bits follow OpenBLAS's thread count, as a gemv's do."""
+        unless extent is 0: the zero field's product reads no block.  values
+        may be any 1-D numeric vector; the result is float64 either way, and
+        its last bits follow OpenBLAS's thread count, as a gemv's do."""
         if extent is None:
             extent = _support_extent(values)
         if rows is None:

@@ -149,12 +149,12 @@ def rearrangement_loss(kernel: ReducedKernel, rng: np.random.Generator,
 
 
 def kernel_symmetry_defect(kernel: ReducedKernel, rng: np.random.Generator) -> float:
-    """Relative asymmetry |<v, K u> - <u, K v>| / |<v, K u>| of the
-    interaction form, <a, b> = sum_i a_i b_i V_i, on two random vectors."""
-    V = kernel.grid.volumes
+    """Relative asymmetry |v.S u - u.S v| / |v.S u| of the interaction
+    operator S (kernel.sym) on two random vectors, by gemv on the whole of
+    S: dsymv reads one triangle, so it would not see the other's defects."""
+    sym = kernel.sym
     u, v = rng.random(kernel.grid.n), rng.random(kernel.grid.n)
-    lhs = (v * V) @ kernel.interaction_matvec(u)
-    rhs = (u * V) @ kernel.interaction_matvec(v)
+    lhs, rhs = v @ (sym @ u), u @ (sym @ v)
     return float(abs(lhs - rhs) / abs(lhs))
 
 

@@ -128,6 +128,15 @@ class TestBuild:
         # is (S_sym u)/V with S_sym = (S + S.T)/2
         assert kernel_symmetry_defect(kernel1024, np.random.default_rng(1)) <= 1e-13
 
+    def test_symmetry_defect_reads_both_triangles(self):
+        # an operator whose upper triangle is off must fail the measure,
+        # though dsymv reads the lower one alone
+        kernel = build_kernel(RadialGrid(256, 4.0), LAM)
+        corrupt = kernel.sym.copy()
+        corrupt[np.triu_indices(256, 1)] *= 1.5
+        kernel.__dict__["_block"] = corrupt
+        assert kernel_symmetry_defect(kernel, np.random.default_rng(1)) > 1e-3
+
     def test_operator_layout(self, grid1024, kernel1024):
         # sym is S = 0.5 (V_i pot_ij + V_j pot_ji), evaluated in that order,
         # symmetric bit for bit (dsymv reads one triangle of it), and
@@ -464,6 +473,20 @@ class TestSymmetricProduct:
             kernel.interaction_matvec(u, rows=rows, extent=extent)
         assert calls == [grid.n, grid.n]
 
+    @pytest.mark.parametrize("product", ["loaded", "gemv"])
+    def test_any_numeric_vector(self, monkeypatch, product):
+        # one input contract for a whole-grid product, whichever runs it,
+        # and the same as a windowed product's
+        if product == "gemv":
+            monkeypatch.setattr(riesz, "_symv", riesz._gemv)
+        kernel = build_kernel(RadialGrid(200, 4.0), LAM)
+        ints = np.arange(1, 201)
+        want = kernel.interaction_matvec(ints.astype(np.float64))
+        for x in (ints, ints.astype(np.float32), np.repeat(ints, 2).astype(np.float64)[::2]):
+            got = kernel.interaction_matvec(x)
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, want)
+
     def test_gemv_fallback_run_matches(self, exps, monkeypatch):
         # the energy_budget Gaussian, on numpy builds without dsymv
         grid = RadialGrid(512, 8.0)
@@ -471,7 +494,7 @@ class TestSymmetricProduct:
         u0 = field_from_function(grid, lambda r: 0.5 * np.exp(-(r**2)))
         cfg = ag.SimConfig(t_end=0.05, record_every=5)
         loaded = ag.run(u0, cfg, kernel, exps)
-        monkeypatch.setattr(riesz, "_openblas", lambda symbol: None)
+        monkeypatch.setattr(riesz, "_openblas", lambda symbol, nargs: None)
         assert riesz._blas_dsymv() is None
         monkeypatch.setattr(riesz, "_symv", riesz._gemv)
         fallback = ag.run(u0, cfg, kernel, exps)
@@ -492,14 +515,17 @@ class TestSymmetricProduct:
         assert riesz._symv is not riesz._gemv
 
     def test_invalid_arguments_raise(self):
-        # arrays dsymv would overrun or misread never reach it
+        # arrays dsymv would overrun or misread never reach it; a vector it
+        # can read as float64 is converted
         if riesz._symv is riesz._gemv:
             pytest.skip("gemv is the whole-grid product")
         block = build_kernel(RadialGrid(8, 1.0), LAM).sym
-        np.testing.assert_allclose(riesz._symv(block, np.ones(9)), block.sum(axis=1),
-                                   rtol=1e-15)
-        for x in (np.ones(7), np.ones(16)[::2], np.ones(8, np.float32),
-                  np.ones(8, np.int64), np.ones((8, 1)), np.ones((1, 8))):
+        want = riesz._symv(block, np.ones(8))
+        np.testing.assert_allclose(want, block.sum(axis=1), rtol=1e-15)
+        np.testing.assert_array_equal(riesz._symv(block, np.ones(9)), want)
+        for x in (np.ones(16)[::2], np.ones(8, np.float32), np.ones(8, np.int64)):
+            np.testing.assert_array_equal(riesz._symv(block, x), want)
+        for x in (np.ones(7), np.ones((8, 1)), np.ones((1, 8))):
             with pytest.raises(ValueError):
                 riesz._symv(block, x)
         for bad in (block[:4, :4][:, ::2], np.asfortranarray(block[:, :7])[:7],
