@@ -20,19 +20,17 @@ from aggdiff import (
     compute_thresholds,
     derive_exponents,
     lp_norm,
-    pad_grid,
     run,
     solve_extremal,
     support_radius,
-    threshold_profile,
+    threshold_field,
     trace_to_csv,
 )
 
 exps = derive_exponents(ModelParams(3, 1.1, 1.2))
 profile = solve_extremal(exps, RadialGrid(512, 4.0))
 thr = compute_thresholds(profile, exps)
-wt = threshold_profile(profile, exps)
-wt = pad_grid(wt, 8.0 * support_radius(wt))
+wt = threshold_field(profile, exps)
 kernel = build_kernel(wt.grid, exps.lam)
 print(f"threshold profile ready: support {support_radius(wt):.2f}, "
       f"domain {wt.grid.r_max:.1f}, n = {wt.grid.n}")

@@ -24,11 +24,10 @@ from aggdiff import (
     hypothesis_check,
     lp_norm,
     mass,
-    pad_grid,
     run,
     solve_extremal,
     support_radius,
-    threshold_profile,
+    threshold_field,
     virial_check,
 )
 
@@ -66,8 +65,7 @@ print()
 print("--- the threshold profile: a stationary saddle ---")
 profile = solve_extremal(exps, RadialGrid(512, 4.0))
 thr = compute_thresholds(profile, exps)
-wt = threshold_profile(profile, exps)
-wt = pad_grid(wt, 8.0 * support_radius(wt))
+wt = threshold_field(profile, exps)
 kernel_wt = build_kernel(wt.grid, exps.lam)
 R = support_radius(wt)
 t_char = R**2 * (exps.m - 1.0) / (2 * exps.d * exps.m

@@ -45,15 +45,9 @@ import numpy as np
 from .classify import Agreement, agrees, barrier_check, classify
 from .errors import NoConvergence, RegimeError
 from .evolve import SimConfig, _solve as _tridiagonal_solve, run, trace_to_csv
-from .extremal import (
-    ExtremalOptions,
-    compute_thresholds,
-    solve_extremal,
-    support_radius,
-    threshold_profile,
-)
+from .extremal import ExtremalOptions, compute_thresholds, solve_extremal, threshold_field
 from .field import (RadialField, RadialGrid, _write_csv, field_from_csv, field_from_function,
-                    field_to_csv, pad_grid)
+                    field_to_csv)
 from .params import ModelParams, derive_exponents, hls_sharp_constant
 from .riesz import _symv as _symmetric_product, build_kernel
 from .testing import (exponent_identity_defect, kernel_symmetry_defect, mass_drift,
@@ -252,20 +246,13 @@ def cmd_thresholds(cfg: RunConfig, out: str | None) -> int:
     return EXIT_OK
 
 
-def _threshold_field(profile, exps) -> RadialField:
-    """The threshold-scaled maximizer, padded to 8x its support so that a
-    run has room to spread."""
-    wt = threshold_profile(profile, exps)
-    return pad_grid(wt, 8.0 * support_radius(wt))
-
-
 def _initial_condition(cfg: RunConfig, exps, profile_solver) -> RadialField:
     """Build the configured initial data on an evolution-ready grid.
 
     profile_solver is called only for the threshold-scaled family, so the
     other initial-data kinds skip the maximizer solve entirely."""
     if cfg.init_kind == "threshold_scaled":
-        wt = _threshold_field(profile_solver(), exps)
+        wt = threshold_field(profile_solver(), exps)
         return wt.with_values(cfg.init_kappa * wt.values)
     if cfg.init_kind == "gaussian":
         return field_from_function(
@@ -319,7 +306,7 @@ def cmd_evolve(cfg: RunConfig, out: str | None) -> int:
 def cmd_dichotomy(cfg: RunConfig, out: str | None) -> int:
     out_path = _out_dir(out)
     exps, profile, thr = _solve(cfg)
-    wt = _threshold_field(profile, exps)
+    wt = threshold_field(profile, exps)
     kernel = build_kernel(wt.grid, exps.lam)
     summary = []
     for kappa in cfg.experiment_kappas:

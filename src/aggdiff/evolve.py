@@ -20,8 +20,8 @@ so the outward flux at the new time level is
 At the current state F_f is the explicit upwind flux u_k v_f, so the
 semi-discrete scheme, its steady states and mu as the exact variational
 derivative of the discrete free energy are those of the explicit scheme.
-functionals._face_system builds this system for `step` and the diagnostics,
-once per state.
+_face_system builds this system, for d = 3 only, once per state: `step`,
+`dissipation` and `virial_check` all read it.
 No flux crosses r = 0 (zero face area) or r = r_max.
 
 A sweep S(u, dt) solves V u_new + dt (flux differences) = V u: a
@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import ctypes
 import warnings
+import weakref
 from dataclasses import dataclass, field as dataclass_field, fields
 from enum import Enum
 
@@ -66,9 +67,9 @@ import numpy as np
 
 from .errors import NonFiniteValue, UnsupportedDimension
 from .field import RadialField, _write_csv, lp_norm, mass, second_moment
-from .functionals import _face_system, _moment_rate, _upwind_flux, dissipation, free_energy
+from .functionals import _moment_rate, _pressure, free_energy
 from .params import Exponents
-from .riesz import ReducedKernel, _openblas
+from .riesz import ReducedKernel, _openblas, _support_extent, potential
 
 __all__ = [
     "SimConfig",
@@ -76,6 +77,7 @@ __all__ = [
     "SimTrace",
     "HypothesisReport",
     "step",
+    "dissipation",
     "run",
     "virial_check",
     "hypothesis_check",
@@ -111,8 +113,9 @@ class SimConfig:
             raise ValueError("cfl must lie in (0, 1]")
         if not self.blowup_factor > 1.0:
             raise ValueError("blowup_factor must exceed 1")
-        if not self.record_every >= 1:
-            raise ValueError("record_every must be at least 1")
+        if not (isinstance(self.record_every, (int, np.integer)) and self.record_every >= 1):
+            raise ValueError(f"record_every must be an integer of at least 1, "
+                             f"got {self.record_every!r}")
 
 
 class Outcome(str, Enum):
@@ -126,7 +129,7 @@ class SimTrace:
     """Diagnostic time series plus the terminal outcome.
 
     Columns, in CSV order: time, mass, L^m norm, sup norm, free energy,
-    second moment, the scheme's own dissipation (functionals.dissipation),
+    second moment, the scheme's own dissipation (`dissipation`),
     and the last step taken before each record (0 before the first step).
     """
 
@@ -191,6 +194,71 @@ def _lapack_gtsv():
 _solve = _lapack_gtsv() or _thomas
 
 
+def _face_system(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> tuple:
+    """The upwind face system of u (module docstring), frozen for any dt, on
+    the window [0, w) of cells a step solves, one past the support.  At its
+    faces 1..w-1, v_f = -d_r mu = (dc - dp) / dr picks the upwind cell k_f
+    (f-1 if v_f > 0), inner_f = (D_f + a_f [v_f > 0]) dr and outer_f =
+    inner_f - a_f dr, so that the face flux F_f = A_f (inner_f u_(f-1) -
+    outer_f u_f) / dr is A_f u_k v_f at u.  Returns max |v_f| over the faces
+    next to mass, v_f, inner and outer, all read-only.
+
+    The system is kept on u (frozen, its values read-only) and returned
+    again for the same exps and kernel objects: a recorded state's
+    dissipation and the step from it build one.  u holds the kernel weakly,
+    so a kept field (a trace's final one) does not keep its operator."""
+    if exps.d != 3:
+        raise UnsupportedDimension("the spherical-shell scheme requires d = 3")
+    held = u.__dict__.get("_face_system")
+    if held is not None and held[0] is exps and held[1]() is kernel:
+        return held[2]
+    n, v, extent = u.grid.n, u.values, _support_extent(u.values)
+    w = min(extent + 1, n)
+    c = exps.c_ds * potential(u, kernel, rows=min(w + 1, n), extent=extent)
+    if w < n and c[w] > c[w - 1]:
+        # attraction points outward at the window face: nothing bounds the
+        # new support short of the whole grid
+        w = n
+        c = exps.c_ds * potential(u, kernel, rows=n, extent=extent)
+    p = _pressure(v[:w], exps.m)
+    dp, dc = p[1:w] - p[: w - 1], c[1:w] - c[: w - 1]
+    vel = (dc - dp) / u.grid.dr
+    outward = vel > 0.0
+    left, right = v[: w - 1], v[1:w]  # cells f-1 and f meet at face f
+    du = right - left
+    # between equal cells D_f dr is u p'(u) = (m-1) p(u), 0 between empty ones
+    mobility = np.divide(np.where(outward, left, right) * dp, du,
+                         out=(exps.m - 1.0) * p[1:w], where=du != 0.0)
+    inner = mobility + np.where(outward, dc, 0.0)
+    system = float(np.abs(vel[:extent]).max(initial=0.0)), vel, inner, inner - dc
+    for a in system[1:]:
+        a.setflags(write=False)
+    u.__dict__["_face_system"] = exps, weakref.ref(kernel), system
+    return system
+
+
+def _upwind_flux(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> tuple:
+    """The upwind face flux F_f of _face_system out through the faces 0..w
+    of the window [0, w), and v_f at its faces 1..w-1.  Every other face
+    carries an exact zero flux: both its cells are empty, or it is r = 0
+    (zero area) or r = r_max."""
+    _, vel, inner, outer = _face_system(u, exps, kernel)
+    w, v = len(vel) + 1, u.values
+    flux = np.zeros(w + 1)
+    flux[1:w] = u.grid.face_areas[1:w] * (inner * v[: w - 1] - outer * v[1:w]) / u.grid.dr
+    return flux, vel
+
+
+def dissipation(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> float:
+    """The scheme's own dissipation D_h = sum_f F_f v_f dr, with F_f = A_f
+    u_(k_f) v_f the upwind face flux of _face_system, the one `step` solves.
+    mu is the exact variational derivative of the discrete free energy, so
+    the semi-discrete flow (the rate of `step` as dt -> 0) has dF/dt = -D_h
+    exactly.  Nonnegative; 0 at steady states."""
+    flux, vel = _upwind_flux(u, exps, kernel)
+    return float(flux[1:-1] @ vel) * u.grid.dr
+
+
 def _sweep_system(u: RadialField, op: tuple, dt: float) -> tuple:
     """Fresh sub-, main and superdiagonal and right-hand side of the system
     of S(u, dt) on the window [0, w), with op frozen at u (_face_system)."""
@@ -228,8 +296,6 @@ def step(
     """One extrapolated step 2 S(S(u, dt/2), dt/2) - S(u, dt) (see the
     module docstring); returns the new field and the step actually taken
     (chosen by the accuracy rule when dt is None)."""
-    if exps.d != 3:
-        raise UnsupportedDimension("the spherical-shell scheme requires d = 3")
     grid = u.grid
     op = _face_system(u, exps, kernel)
     if op[0] == 0.0:
@@ -398,10 +464,8 @@ def virial_check(
     to discretization error, and both vanish at the threshold steady
     profile.
     """
-    if exps.d != 3:
-        raise UnsupportedDimension("the discrete moment flux requires d = 3")
-    rhs = _moment_rate(exps, free_energy(u, exps, kernel), lp_norm(u, exps.m) ** exps.m)
     flux, _ = _upwind_flux(u, exps, kernel)
+    rhs = _moment_rate(exps, free_energy(u, exps, kernel), lp_norm(u, exps.m) ** exps.m)
     w = len(flux) - 1  # the window; the divergence vanishes beyond it
     lhs = float((flux[:-1] - flux[1:]) / u.grid.volumes[:w] @ u.grid.moment_weights[:w])
     return lhs, float(rhs)

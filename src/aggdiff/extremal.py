@@ -29,6 +29,7 @@ from .field import (
     field_from_function,
     lp_norm,
     normalize_both_norms,
+    pad_grid,
     rearrange_decreasing,
     resample_to,
     scale_field,
@@ -44,6 +45,7 @@ __all__ = [
     "solve_extremal",
     "el_residual",
     "threshold_profile",
+    "threshold_field",
     "compute_thresholds",
     "support_radius",
 ]
@@ -70,8 +72,8 @@ class ExtremalOptions:
     def __post_init__(self):
         if not 0.0 < self.tol_res < np.inf:
             raise ValueError("tol_res must be positive and finite")
-        if not self.max_iter >= 1:
-            raise ValueError("max_iter must be at least 1")
+        if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
         if self.init not in _INITS:
             raise ValueError(f"unknown extremal.init {self.init!r}; "
                              f"expected one of {', '.join(_INITS)}")
@@ -218,6 +220,13 @@ def threshold_profile(profile: ExtremalProfile, exps: Exponents) -> RadialField:
     if lam == 0.0:
         lam = thr.x_star ** (-1.0 / d_a1) * w_inf ** (-(exps.a + exps.m) / d_a1)
     return scale_field(profile.w, alpha, lam)
+
+
+def threshold_field(profile: ExtremalProfile, exps: Exponents) -> RadialField:
+    """The dichotomy's run field: threshold_profile padded to 8x its support
+    radius, room to spread (the product stays x_star; a re-pad returns it)."""
+    wt = threshold_profile(profile, exps)
+    return pad_grid(wt, 8.0 * support_radius(wt))
 
 
 def compute_thresholds(profile: ExtremalProfile, exps: Exponents) -> Thresholds:

@@ -64,8 +64,8 @@ class RadialGrid:
     r_max: float
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("grid needs at least 2 cells")
+        if not (isinstance(self.n, (int, np.integer)) and self.n >= 2):
+            raise ValueError(f"grid needs an integer count of at least 2 cells, got {self.n!r}")
         if not 0.0 < self.r_max < np.inf:
             raise ValueError("r_max must be positive and finite")
 
@@ -95,6 +95,10 @@ class RadialGrid:
     def face_areas(self) -> np.ndarray:
         return _frozen(4.0 * np.pi * self.edges**2)
 
+    def __reduce__(self):
+        # pickled as (n, r_max): the tables are rebuilt read-only on first use
+        return RadialGrid, (self.n, self.r_max)
+
     def compatible(self, other: "RadialGrid") -> bool:
         return self.n == other.n and np.isclose(
             self.r_max, other.r_max, rtol=1e-13, atol=0.0
@@ -117,6 +121,10 @@ class RadialField:
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
+
+    def __reduce__(self):
+        # rebuilt by the constructor: read-only values, no cache kept on it
+        return RadialField, (self.grid, self.values)
 
     def with_values(self, values: np.ndarray) -> "RadialField":
         return RadialField(self.grid, values)

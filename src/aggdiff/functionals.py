@@ -1,6 +1,7 @@
 """Scalar functionals of a density: free energy, chemical potential, the
-sharp interaction quotient, the barrier function g and its maximizer, and
-the energy dissipation of the upwind scheme.
+sharp interaction quotient, and the barrier function g and its maximizer.
+The upwind scheme's face system and dissipation live with the scheme, in
+module evolve.
 
 Conventions.  h(u) denotes the plain interaction energy
 iint u(x)u(y)|x-y|^(-lam) dx dy (module riesz).  The free energy is
@@ -19,7 +20,6 @@ maximizer x_star separates globally existing from blowing-up initial data.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +28,7 @@ from .errors import RegimeError, ZeroField
 from .field import RadialField, lp_norm, mass, second_moment
 from .params import Exponents
 # force has no caller here; the benchmark's tracer wraps functionals.force
-from .riesz import ReducedKernel, _support_extent, force, interaction, potential
+from .riesz import ReducedKernel, force, interaction, potential
 
 __all__ = [
     "EnergyReport",
@@ -38,7 +38,6 @@ __all__ = [
     "vhls_quotient",
     "barrier_g",
     "xstar_threshold",
-    "dissipation",
     "energy_report",
 ]
 
@@ -99,59 +98,6 @@ def _pressure(values: np.ndarray, m: float) -> np.ndarray:
     return np.where(values > 0.0, values, 0.0) ** (m - 1.0) * (m / (m - 1.0))
 
 
-def _face_system(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> tuple:
-    """The upwind face system of u (module evolve), frozen for any dt, on
-    the window [0, w) of cells a step solves, one past the support.  At its
-    faces 1..w-1, v_f = -d_r mu = (dc - dp) / dr picks the upwind cell k_f
-    (f-1 if v_f > 0), inner_f = (D_f + a_f [v_f > 0]) dr and outer_f =
-    inner_f - a_f dr, so that the face flux F_f = A_f (inner_f u_(f-1) -
-    outer_f u_f) / dr is A_f u_k v_f at u.  Returns max |v_f| over the faces
-    next to mass, v_f, inner and outer, all read-only.
-
-    The system is kept on u (frozen, its values read-only) and returned
-    again for the same exps and kernel objects: a recorded state's
-    dissipation and the step from it build one.  u holds the kernel weakly,
-    so a kept field (a trace's final one) does not keep its operator."""
-    held = u.__dict__.get("_face_system")
-    if held is not None and held[0] is exps and held[1]() is kernel:
-        return held[2]
-    n, v, extent = u.grid.n, u.values, _support_extent(u.values)
-    w = min(extent + 1, n)
-    c = exps.c_ds * potential(u, kernel, rows=min(w + 1, n), extent=extent)
-    if w < n and c[w] > c[w - 1]:
-        # attraction points outward at the window face: nothing bounds the
-        # new support short of the whole grid
-        w = n
-        c = exps.c_ds * potential(u, kernel, rows=n, extent=extent)
-    p = _pressure(v[:w], exps.m)
-    dp, dc = p[1:w] - p[: w - 1], c[1:w] - c[: w - 1]
-    vel = (dc - dp) / u.grid.dr
-    outward = vel > 0.0
-    left, right = v[: w - 1], v[1:w]  # cells f-1 and f meet at face f
-    du = right - left
-    # between equal cells D_f dr is u p'(u) = (m-1) p(u), 0 between empty ones
-    mobility = np.divide(np.where(outward, left, right) * dp, du,
-                         out=(exps.m - 1.0) * p[1:w], where=du != 0.0)
-    inner = mobility + np.where(outward, dc, 0.0)
-    system = float(np.abs(vel[:extent]).max(initial=0.0)), vel, inner, inner - dc
-    for a in system[1:]:
-        a.setflags(write=False)
-    u.__dict__["_face_system"] = exps, weakref.ref(kernel), system
-    return system
-
-
-def _upwind_flux(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> tuple:
-    """The upwind face flux F_f of _face_system out through the faces 0..w
-    of the window [0, w), and v_f at its faces 1..w-1.  Every other face
-    carries an exact zero flux: both its cells are empty, or it is r = 0
-    (zero area) or r = r_max."""
-    _, vel, inner, outer = _face_system(u, exps, kernel)
-    w, v = len(vel) + 1, u.values
-    flux = np.zeros(w + 1)
-    flux[1:w] = u.grid.face_areas[1:w] * (inner * v[: w - 1] - outer * v[1:w]) / u.grid.dr
-    return flux, vel
-
-
 def vhls_quotient(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> float:
     """J(u) = h(u) / (||u||_1^a0 ||u||_m^b0); scale invariant by construction."""
     n1 = mass(u)
@@ -196,16 +142,6 @@ def _moment_rate(exps: Exponents, F: float, lm_m: float) -> float:
     """The virial rate 2 lam F + (2d - 2 lam/(m-1)) lm_m, lam = d - 2s: the
     second moment's time derivative at free energy F and ||u||_m^m = lm_m."""
     return 2.0 * exps.lam * F + (2.0 * exps.d - 2.0 * exps.lam / (exps.m - 1.0)) * lm_m
-
-
-def dissipation(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> float:
-    """The scheme's own dissipation D_h = sum_f F_f v_f dr, with F_f = A_f
-    u_(k_f) v_f the upwind face flux of _face_system, the one `step` solves.
-    mu is the exact variational derivative of the discrete free energy, so
-    the semi-discrete flow (the rate of `step` as dt -> 0) has dF/dt = -D_h
-    exactly.  Nonnegative; 0 at steady states."""
-    flux, vel = _upwind_flux(u, exps, kernel)
-    return float(flux[1:-1] @ vel) * u.grid.dr
 
 
 def energy_report(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> EnergyReport:

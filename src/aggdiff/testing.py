@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .evolve import SimTrace, _solve, _sweep_system, _thomas
+from .evolve import SimTrace, _face_system, _solve, _sweep_system, _thomas
 from .field import (RadialField, RadialGrid, apply_dynamic_scaling, field_from_function,
                     mass, rearrange_decreasing, scale_field)
-from .functionals import _face_system, energy_report, vhls_quotient
+from .functionals import energy_report, vhls_quotient
 from .params import Exponents, ModelParams, derive_exponents, hls_sharp_constant
 from .riesz import ReducedKernel, _gemv, _symv, interaction
 

@@ -37,7 +37,6 @@ def wt_padded(exps, profile_n512):
     """Threshold-scaled profile padded to an evolution-ready domain (8x its
     support), with its kernel.  The padding keeps the invariant product at
     x_star exactly."""
-    wt = ag.threshold_profile(profile_n512, exps)
-    wt = ag.pad_grid(wt, 8.0 * ag.support_radius(wt))
+    wt = ag.threshold_field(profile_n512, exps)
     kernel = ag.build_kernel(wt.grid, exps.lam)
     return wt, kernel

@@ -3,6 +3,7 @@ decay and dissipation budget, blow-up detection, the second-moment balance,
 the tridiagonal solves, and the initial-data checks."""
 
 import dataclasses
+import pickle
 import sys
 import warnings
 
@@ -26,9 +27,8 @@ from aggdiff import (
     step,
     virial_check,
 )
-from aggdiff import evolve, functionals
-from aggdiff.evolve import _ROUNDOFF, _sweep, _sweep_system, _thomas
-from aggdiff.functionals import _face_system
+from aggdiff import evolve
+from aggdiff.evolve import _ROUNDOFF, _face_system, _sweep, _sweep_system, _thomas
 from aggdiff.testing import mass_drift
 
 M_EXP = 1.2
@@ -116,11 +116,15 @@ class TestSimConfig:
             {"t_end": 1.0, "cfl": 1.5},
             {"t_end": 1.0, "blowup_factor": 1.0},
             {"t_end": 1.0, "record_every": 0},
+            {"t_end": 1.0, "record_every": 1.5},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
+
+    def test_numpy_integer_cadence_accepted(self):
+        assert SimConfig(t_end=1.0, record_every=np.int64(3)).record_every == 3
 
 
 class TestStep:
@@ -247,6 +251,8 @@ class TestStep:
             step(u, kernel, e4, SimConfig(t_end=1.0))
         with pytest.raises(ag.UnsupportedDimension):
             virial_check(u, e4, kernel)
+        with pytest.raises(ag.UnsupportedDimension):
+            ag.dissipation(u, e4, kernel)
 
 
 class TestPorousMediumOnly:
@@ -286,6 +292,20 @@ class TestRun:
         u0 = field_from_function(grid, lambda r: 0.5 * np.exp(-(r**2)))
         tr = run(u0, SimConfig(t_end=0.3, record_every=50), kernel, exps)
         assert mass_drift(tr) <= 1e-8
+
+    def test_trace_pickles(self, exps, grid, kernel):
+        # a run keeps its face system on the fields it touched; a pickled
+        # trace drops it, and its final field comes back frozen
+        u0 = field_from_function(grid, lambda r: 0.5 * np.exp(-(r**2)))
+        tr = run(u0, SimConfig(t_end=0.01), kernel, exps)
+        back = pickle.loads(pickle.dumps(tr))
+        for name in evolve._COLUMNS:
+            np.testing.assert_array_equal(getattr(back, name), getattr(tr, name))
+        assert back.outcome is tr.outcome and back.final.grid == tr.final.grid
+        np.testing.assert_array_equal(back.final.values, tr.final.values)
+        assert "_face_system" not in vars(back.final)
+        assert not back.final.values.flags.writeable
+        assert not back.final.grid.volumes.flags.writeable
 
     def test_zero_field_completes(self, exps, grid, kernel):
         # the trivial solution exists globally
@@ -348,25 +368,24 @@ class TestRun:
         u0 = field_from_function(grid, lambda r: 0.5 * np.exp(-(r**2)))
         cfg = SimConfig(t_end=0.05, record_every=1)
         states = []
-        potential = functionals.potential
+        potential = evolve.potential
 
         def counting(u, *args, **kwargs):
             states.append(u)
             return potential(u, *args, **kwargs)
 
-        monkeypatch.setattr(functionals, "potential", counting)
+        monkeypatch.setattr(evolve, "potential", counting)
         once = run(u0, cfg, kernel, exps)
         # each kept state and each half step's state, ids held alive
         assert len(states) == len({id(u) for u in states}) >= 2 * len(once.t) - 1
         builds = len(states)
         states.clear()
-        original = functionals._face_system
+        original = evolve._face_system
 
         def afresh(u, *args):
             u.__dict__.pop("_face_system", None)
             return original(u, *args)
 
-        monkeypatch.setattr(functionals, "_face_system", afresh)
         monkeypatch.setattr(evolve, "_face_system", afresh)
         every = run(u0, cfg, kernel, exps)
         # one more per record but the last (and per retaken final step)
@@ -490,8 +509,7 @@ class TestBlowupDetection:
         """The padded threshold profile from an n = 384 solve, whose innermost
         shell cannot hold the trigger's mass with room to spare."""
         profile = ag.solve_extremal(exps, RadialGrid(384, 4.0))
-        wt = ag.threshold_profile(profile, exps)
-        wt = ag.pad_grid(wt, 8.0 * ag.support_radius(wt))
+        wt = ag.threshold_field(profile, exps)
         return wt, build_kernel(wt.grid, exps.lam)
 
     def test_coarse_grid_warns(self, exps, wt_n384):

@@ -18,7 +18,10 @@ from aggdiff import (
     hls_sharp_constant,
     lp_norm,
     mass,
+    pad_grid,
     solve_extremal,
+    support_radius,
+    threshold_field,
     threshold_profile,
     vhls_quotient,
 )
@@ -158,11 +161,15 @@ class TestSolve:
             {"tol_res": np.nan},
             {"tol_res": 0.0},
             {"init": "nope"},
+            {"max_iter": 2.5},
         ],
     )
     def test_invalid_options_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ExtremalOptions(**kwargs)
+
+    def test_numpy_integer_budget_accepted(self):
+        assert ExtremalOptions(max_iter=np.int32(5)).max_iter == 5
 
     def test_rejects_other_dimensions(self):
         import aggdiff as ag
@@ -220,6 +227,16 @@ class TestThresholdProfile:
         lhs = 2.0 * (d - 2 * s) * free_energy(wt, exps, kernel) * n1a
         rhs = -(2.0 * d - 2.0 * (d - 2 * s) / (m - 1.0)) * lp_norm(wt, m) ** m * n1a
         assert abs(lhs - rhs) <= 1e-3 * abs(rhs)
+
+    def test_threshold_field_is_the_padded_profile(self, exps, profile_n512):
+        # the run field, bit for bit the member padded to 8x its support;
+        # padding it again returns it
+        wt = threshold_field(profile_n512, exps)
+        ref = threshold_profile(profile_n512, exps)
+        ref = pad_grid(ref, 8.0 * support_radius(ref))
+        assert wt.grid == ref.grid
+        np.testing.assert_array_equal(wt.values, ref.values)
+        assert pad_grid(wt, 8.0 * support_radius(wt)) is wt
 
     def test_requires_convergence(self, exps, profile_n512):
         import dataclasses

@@ -44,6 +44,15 @@ class TestGrid:
         g = RadialGrid(64, 2.0)
         assert abs(g.moment_weights.sum() - 4.0 * np.pi / 5.0 * 2.0**5) <= 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2.5, 8.0])
+    def test_n_an_integer_of_at_least_two(self, n):
+        # a float count, even a whole one, has no linspace or range
+        with pytest.raises(ValueError, match="integer"):
+            RadialGrid(n, 1.0)
+
+    def test_numpy_integer_count_accepted(self):
+        assert RadialGrid(np.int64(8), 1.0).volumes.size == 8
+
     @pytest.mark.parametrize("r_max", [0.0, np.inf, np.nan])
     def test_r_max_positive_and_finite(self, r_max):
         with pytest.raises(ValueError, match="r_max"):

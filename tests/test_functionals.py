@@ -27,7 +27,7 @@ from aggdiff import (
     vhls_quotient,
     xstar_threshold,
 )
-from aggdiff.functionals import _face_system
+from aggdiff.evolve import _face_system
 from aggdiff.testing import max_hls_ratio, random_density, scale_invariance_defect
 
 from test_riesz import oracle_interaction

@@ -290,8 +290,7 @@ class TestOperatorBlock:
     def test_dichotomy_kernel_stays_small(self, exps, profile_n512, thresholds_n512):
         # the seed-0 dichotomy: both legs to t_end = 100 read the operator on
         # the first ~150 of 1140 cells, so one 256-cell block serves them
-        wt = ag.threshold_profile(profile_n512, exps)
-        wt = ag.pad_grid(wt, 8.0 * ag.support_radius(wt))
+        wt = ag.threshold_field(profile_n512, exps)
         kernel = build_kernel(wt.grid, exps.lam)
         cfg = ag.SimConfig(t_end=100.0, record_every=200)
         for kappa in (0.8, 1.2):
