@@ -46,10 +46,10 @@ from .classify import Agreement, agrees, barrier_check, classify
 from .errors import NoConvergence, RegimeError
 from .evolve import SimConfig, _solve as _tridiagonal_solve, run, trace_to_csv
 from .extremal import ExtremalOptions, compute_thresholds, solve_extremal, threshold_field
-from .field import (RadialField, RadialGrid, _write_csv, field_from_csv, field_from_function,
-                    field_to_csv)
+from . import riesz
+from .field import RadialField, RadialGrid, field_from_csv, field_from_function, field_to_csv
 from .params import ModelParams, derive_exponents, hls_sharp_constant
-from .riesz import _symv as _symmetric_product, build_kernel
+from .riesz import build_kernel
 from .testing import (exponent_identity_defect, kernel_symmetry_defect, mass_drift,
                       max_hls_ratio, random_density, rearrangement_loss,
                       scale_invariance_defect, symmetric_product_defect,
@@ -113,10 +113,11 @@ class RunConfig:
             raise ValueError("init.amplitude must be nonnegative and finite")
         if not 0.0 < self.init_width < np.inf:
             raise ValueError("init.width must be positive and finite")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.selftest_n < 2:
-            raise ValueError("selftest.n must be at least 2")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if not (isinstance(self.selftest_n, (int, np.integer)) and self.selftest_n >= 2):
+            raise ValueError(f"selftest.n must be an integer of at least 2, "
+                             f"got {self.selftest_n!r}")
 
 
 # key -> (RunConfig field holding a library object, or None for RunConfig
@@ -221,7 +222,7 @@ def cmd_extremal(cfg: RunConfig, out: str | None) -> int:
         profile = exc.profile
         status = EXIT_NO_CONVERGENCE
     csv_path = out_path / "extremal_profile.csv"
-    _write_csv(csv_path, "r,w", (profile.w.grid.centers, profile.w.values))
+    field_to_csv(profile.w, csv_path)
     _write_json(out_path / "extremal_profile.json", {
         "cstar": profile.cstar,
         "support_radius": profile.support_radius,
@@ -372,7 +373,7 @@ def _selftest_checks(cfg: RunConfig):
             random_density(grid, rng), exps, kernel), 1e-13,
             f"solve: {_tridiagonal_solve.__name__.lstrip('_')}"),
         "symmetric_product": (lambda: symmetric_product_defect(kernel, rng), 1e-13,
-                              f"product: {_symmetric_product.__name__.lstrip('_')}"),
+                              f"product: {riesz._symv.__name__ if riesz._symv else 'gemv'}"),
     }
 
 

@@ -20,8 +20,9 @@ so the outward flux at the new time level is
 At the current state F_f is the explicit upwind flux u_k v_f, so the
 semi-discrete scheme, its steady states and mu as the exact variational
 derivative of the discrete free energy are those of the explicit scheme.
-_face_system builds this system, for d = 3 only, once per state: `step`,
-`dissipation` and `virial_check` all read it.
+_face_system builds this system once per state, for d = 3 only and a kernel
+of the exponents' power: `step`, `dissipation` and `virial_check` all read
+it.
 No flux crosses r = 0 (zero face area) or r = r_max.
 
 A sweep S(u, dt) solves V u_new + dt (flux differences) = V u: a
@@ -65,11 +66,11 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NonFiniteValue, UnsupportedDimension
+from .errors import NonFiniteValue
 from .field import RadialField, _write_csv, lp_norm, mass, second_moment
-from .functionals import _moment_rate, _pressure, free_energy
+from .functionals import _check_kernel, _moment_rate, _pressure, free_energy
 from .params import Exponents
-from .riesz import ReducedKernel, _openblas, _support_extent, potential
+from .riesz import ReducedKernel, _openblas, potential
 
 __all__ = [
     "SimConfig",
@@ -207,19 +208,18 @@ def _face_system(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> tupl
     again for the same exps and kernel objects: a recorded state's
     dissipation and the step from it build one.  u holds the kernel weakly,
     so a kept field (a trace's final one) does not keep its operator."""
-    if exps.d != 3:
-        raise UnsupportedDimension("the spherical-shell scheme requires d = 3")
+    _check_kernel(exps, kernel)
     held = u.__dict__.get("_face_system")
     if held is not None and held[0] is exps and held[1]() is kernel:
         return held[2]
-    n, v, extent = u.grid.n, u.values, _support_extent(u.values)
+    n, v, extent = u.grid.n, u.values, u.extent
     w = min(extent + 1, n)
-    c = exps.c_ds * potential(u, kernel, rows=min(w + 1, n), extent=extent)
+    c = exps.c_ds * potential(u, kernel, rows=min(w + 1, n))
     if w < n and c[w] > c[w - 1]:
         # attraction points outward at the window face: nothing bounds the
         # new support short of the whole grid
         w = n
-        c = exps.c_ds * potential(u, kernel, rows=n, extent=extent)
+        c = exps.c_ds * potential(u, kernel, rows=n)
     p = _pressure(v[:w], exps.m)
     dp, dc = p[1:w] - p[: w - 1], c[1:w] - c[: w - 1]
     vel = (dc - dp) / u.grid.dr

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import NoConvergence, UnsupportedDimension, ZeroField
+from .errors import NoConvergence, ZeroField
 from .field import (
     RadialField,
     RadialGrid,
@@ -34,7 +34,7 @@ from .field import (
     resample_to,
     scale_field,
 )
-from .functionals import Thresholds, xstar_threshold
+from .functionals import Thresholds, _check_kernel, xstar_threshold
 from .params import Exponents, hls_sharp_constant
 # interaction, rearrange_decreasing: unused here; the benchmark's tracer wraps them
 from .riesz import ReducedKernel, build_kernel, interaction, potential
@@ -113,6 +113,7 @@ def el_residual(
 
         sup_{w > 0} | 2 phi - b0 cstar w^(m-1) - a0 cstar | / (a0 cstar).
     """
+    _check_kernel(exps, kernel)
     return _residual(w, potential(w, kernel), cstar, exps)
 
 
@@ -148,11 +149,9 @@ def solve_extremal(
     constant exceeds the sharp bound hls_sharp_constant(d, lam), which no
     maximizer can (Hoelder interpolation): such a constant is a grid artefact.
     """
-    if exps.d != 3:
-        raise UnsupportedDimension("the radial maximizer solver requires d = 3")
     opts = opts or ExtremalOptions()
-
     kernel = build_kernel(grid, exps.lam)
+    _check_kernel(exps, kernel)
     start = field_from_function(grid, lambda r: _INITS[opts.init](r, grid.r_max / 4.0, exps.m))
     w, _, _ = normalize_both_norms(start, exps)
     phi, c_k = _phi_and_h(w, kernel)

@@ -51,6 +51,12 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _support_extent(values: np.ndarray) -> int:
+    """Index of the last nonzero cell plus one (0 for the zero field)."""
+    nonzero = values.nonzero()[0]
+    return int(nonzero[-1]) + 1 if nonzero.size else 0
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Uniform cell-centered radial grid on [0, r_max] with n shells.
@@ -107,7 +113,8 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class RadialField:
-    """Nonnegative radial density: per-cell values on a RadialGrid."""
+    """Nonnegative radial density: per-cell values on a RadialGrid, and their
+    support extent (_support_extent, set once by the constructor)."""
 
     grid: RadialGrid
     values: np.ndarray
@@ -121,6 +128,7 @@ class RadialField:
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "extent", _support_extent(v))
 
     def __reduce__(self):
         # rebuilt by the constructor: read-only values, no cache kept on it

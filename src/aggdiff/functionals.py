@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RegimeError, ZeroField
+from .errors import RegimeError, UnsupportedDimension, ZeroField
 from .field import RadialField, lp_norm, mass, second_moment
 from .params import Exponents
 # force has no caller here; the benchmark's tracer wraps functionals.force
@@ -72,8 +72,22 @@ class Thresholds:
     cstar: float
 
 
+def _check_kernel(exps: Exponents, kernel: ReducedKernel) -> None:
+    """Raise unless kernel is the one exps describe: the kernel tables and
+    the shell volumes are three-dimensional (UnsupportedDimension for
+    d != 3), and the kernel's power must be exps.lam to 1e-12 relative
+    (ValueError)."""
+    if exps.d != 3:
+        raise UnsupportedDimension(f"the radial kernel and shell volumes need d = 3, "
+                                   f"got d = {exps.d}")
+    if abs(kernel.lam - exps.lam) > 1e-12 * abs(exps.lam):
+        raise ValueError(f"kernel power lam = {kernel.lam!r} differs from the "
+                         f"exponents' lam = {exps.lam!r}")
+
+
 def free_energy(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> float:
     """F(u) = (1/(m-1)) int u^m - (c_ds/2) h(u)."""
+    _check_kernel(exps, kernel)
     m = exps.m
     entropy = lp_norm(u, m) ** m / (m - 1.0)
     return entropy - 0.5 * exps.c_ds * interaction(u, kernel)
@@ -89,6 +103,7 @@ def chemical_potential(
     mu the exact variational derivative of the discrete free energy; the
     flow u_t = div(u grad mu) then dissipates that energy by construction.
     """
+    _check_kernel(exps, kernel)
     c = exps.c_ds * potential(u, kernel)
     return RadialField(u.grid, _pressure(u.values, exps.m) - c)
 
@@ -100,6 +115,7 @@ def _pressure(values: np.ndarray, m: float) -> np.ndarray:
 
 def vhls_quotient(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> float:
     """J(u) = h(u) / (||u||_1^a0 ||u||_m^b0); scale invariant by construction."""
+    _check_kernel(exps, kernel)
     n1 = mass(u)
     if n1 <= 0.0:
         raise ZeroField("quotient undefined for the zero field")
@@ -147,6 +163,7 @@ def _moment_rate(exps: Exponents, F: float, lm_m: float) -> float:
 def energy_report(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> EnergyReport:
     """Assemble all scalar functionals of u in one pass.  Raises RegimeError
     if ||u||_1^a overflows float64."""
+    _check_kernel(exps, kernel)
     m = exps.m
     n1 = mass(u)
     n1_a = _power(n1, exps.a, "||u||_1^a", exps)

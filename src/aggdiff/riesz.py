@@ -10,18 +10,18 @@ closed-form antiderivatives in r', so the influence of each source shell on
 each target radius is integrated exactly for a piecewise-constant density;
 the mild kink of |r - r'|^(2-lam) at r = r' therefore costs no accuracy.
 The per-pair weights form dense tables, filled on first use, making
-potential evaluation a matrix-vector product.  The cell potential and
-the interaction energy read one operator, the volume-symmetrized weights;
-potential_at gives raw values at any radius, by the same antiderivatives.
-The interaction operator is stored as the exactly symmetric volume-weighted
-S = (V pot + pot^T V)/2, one leading block [0, E) grown by powers of two to
-the cells a product reads, and applied only to the support of the density:
-a density on 150 of 1,140 cells costs a 256 x 256 block, whose square
-[0, e) alone gives its interaction energy, e the support extent.  A product
+potential evaluation a matrix-vector product.  The cell potential reads
+one operator, the volume-symmetrized weights, and the interaction energy is
+its quadratic form; potential_at gives raw values at any radius.  The
+operator is stored as the exactly symmetric volume-weighted S = (V pot +
+pot^T V)/2, one leading block [0, E) grown by powers of two to the cells a
+product reads, and applied only to the support [0, e) of the density, e
+its RadialField.extent: a density on 150 of 1,140 cells costs a 256 x 256
+block, whose square [0, e) alone gives its interaction energy.  A product
 over the whole grid, sources and targets, reads one triangle of S through
-BLAS dsymv from the scipy-openblas numpy links (the gemv on the square
-elsewhere); every other product is a gemv on its rectangle.  Each accepts
-any 1-D numeric vector and returns float64.
+BLAS dsymv where numpy links scipy-openblas; every other product, and that
+one on other numpy builds, is a gemv on its rectangle.  Each accepts any
+1-D numeric vector and returns float64.
 
 On the uniform grid the tables are assembled in unit coordinates (radii
 divided by dr).  Targets sit at the cell centres i + 1/2 (potential) or the
@@ -48,7 +48,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridMismatch
-from .field import RadialField, RadialGrid
+from .field import RadialField, RadialGrid, _support_extent
 
 __all__ = [
     "ReducedKernel",
@@ -64,12 +64,6 @@ __all__ = [
 _CHUNK = 32
 
 
-def _support_extent(values: np.ndarray) -> int:
-    """Index of the last nonzero cell plus one (0 for the zero field)."""
-    nonzero = values.nonzero()[0]
-    return int(nonzero[-1]) + 1 if nonzero.size else 0
-
-
 def _openblas(symbol: str, nargs: int):
     """The function symbol of the ILP64 scipy-openblas that numpy links and
     has already loaded, through ctypes, typed as a subroutine of nargs
@@ -81,12 +75,6 @@ def _openblas(symbol: str, nargs: int):
         return None
     func.argtypes, func.restype = [ctypes.c_void_p] * nargs, None
     return func
-
-
-def _gemv(block: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """block @ x[:n] for an n x n block: the reference whole-grid product,
-    and the one numpy builds without dsymv use."""
-    return block @ x[: len(block)]
 
 
 def _blas_dsymv():
@@ -116,8 +104,8 @@ def _blas_dsymv():
     return blas_dsymv
 
 
-# the whole-grid product, chosen once at import
-_symv = _blas_dsymv() or _gemv
+# the whole-grid product, chosen once at import; if None, the square's gemv
+_symv = _blas_dsymv()
 
 
 def _shell_integral(r: np.ndarray, a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
@@ -284,7 +272,7 @@ class ReducedKernel:
                 at r = 0 is zero by symmetry).  Read by force() and the benchmark.
     sym[i, j]   the volume-weighted interaction operator S = (V pot +
                 pot^T V)/2, 0.5 (V_i pot[i, j] + V_j pot[j, i]), symmetric
-                bit for bit: potential() and interaction() apply V^-1 S.
+                bit for bit: potential() applies V^-1 S.
 
     pot and frc are filled in full on first read unless passed in (as by
     dataclasses.replace), which pins them; a pinned table must have the
@@ -384,7 +372,7 @@ class ReducedKernel:
         if extent == 0:
             return np.zeros(rows)
         block = self._operator(max(rows, extent))
-        if rows == extent == self.grid.n:
+        if rows == extent == self.grid.n and _symv is not None:
             out = _symv(block, values)
         else:
             out = block[:rows, :extent] @ values[:extent]
@@ -418,15 +406,14 @@ def _scale_factor(kernel: ReducedKernel, grid: RadialGrid, power_offset: float) 
     return c ** (3.0 - kernel.lam - power_offset)
 
 
-def potential(u: RadialField, kernel: ReducedKernel, *, rows: int | None = None,
-              extent: int | None = None) -> np.ndarray:
+def potential(u: RadialField, kernel: ReducedKernel, *, rows: int | None = None) -> np.ndarray:
     """Plain potential of u (no prefactor) at the cell centres [0, rows),
-    all by default, through the volume-symmetrized operator (rows and
-    extent as in ReducedKernel.interaction_matvec): its quadratic form
-    against u V is exactly the interaction energy.  Nonnegative, and
+    all by default, through the volume-symmetrized operator applied to the
+    support [0, u.extent) (ReducedKernel.interaction_matvec): its quadratic
+    form against u V is exactly the interaction energy.  Nonnegative, and
     radially nonincreasing whenever u is; potential_at gives raw values."""
     fac = _scale_factor(kernel, u.grid, 0.0)
-    return fac * kernel.interaction_matvec(u.values, rows=rows, extent=extent)
+    return fac * kernel.interaction_matvec(u.values, rows=rows, extent=u.extent)
 
 
 def force(u: RadialField, kernel: ReducedKernel, c_ds: float) -> np.ndarray:
@@ -441,15 +428,12 @@ def interaction(u: RadialField, kernel: ReducedKernel) -> float:
     """Interaction energy h(u) = iint u(x) u(y) |x - y|^(-lam) dx dy (no
     prefactor): an exactly symmetric, nonnegative quadratic form in u.
 
-    Computed on the support [0, e) alone, e its extent, as (u V)[:e] .
-    (sym[:e, :e] u[:e] / V[:e]); its last bit may differ from a product
-    over more rows, as BLAS groups a matrix-vector product's rows by row
-    and thread count, and on a full support (one triangle, by dsymv) from
-    a gemv's."""
-    fac = _scale_factor(kernel, u.grid, 0.0)
-    e = _support_extent(u.values)
-    phi = kernel.interaction_matvec(u.values, rows=e, extent=e)
-    return float(fac * ((u.values[:e] * u.grid.volumes[:e]) @ phi))
+    It is (u V)[:e] . potential(u, kernel, rows=e) on the support, e =
+    u.extent; its last bit may differ from a product over more rows, as
+    BLAS groups rows by row and thread count, and from a gemv's on a full
+    support (one triangle, by dsymv)."""
+    e = u.extent
+    return float((u.values[:e] * u.grid.volumes[:e]) @ potential(u, kernel, rows=e))
 
 
 def potential_at(u: RadialField, r_targets: np.ndarray, lam: float) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import aggdiff.cli
-from aggdiff import build_kernel
+from aggdiff import build_kernel, field_from_csv, mass
 from aggdiff.classify import _VIRIAL_SLACK
 from aggdiff.cli import (
     ConfigError,
@@ -22,6 +22,7 @@ from aggdiff.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_REGIME,
+    RunConfig,
     load_config,
     main,
 )
@@ -174,6 +175,17 @@ class TestConfig:
         assert "Traceback" not in err
         assert not out.exists()  # classify fails before its solve
 
+    @pytest.mark.parametrize("name, value", [("seed", 1.5), ("selftest_n", 128.5)])
+    def test_fractional_integer_rejected_in_code(self, name, value):
+        # a config file's integers go through int(); one built in code must
+        # be as integral
+        with pytest.raises(ValueError, match=repr(value)):
+            RunConfig(**{name: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = RunConfig(seed=np.int64(7), selftest_n=np.int32(64))
+        assert (cfg.seed, cfg.selftest_n) == (7, 64)
+
     def test_init_csv_loads(self, tmp_path):
         csv = tmp_path / "init.csv"
         csv.write_text("r,u\n0.5,1.0\n1.5,0.5\n2.5,0.0\n")
@@ -242,7 +254,7 @@ class TestExtremal:
         out = tmp_path / "out"
         assert main(["extremal", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         csv = (out / "extremal_profile.csv").read_text().splitlines()
-        assert csv[0] == "r,w"
+        assert csv[0] == "r,u"
         sidecar = json.loads((out / "extremal_profile.json").read_text())
         assert list(sidecar) == PROFILE_KEYS
         assert sidecar["params"] == {"d": 3, "s": 1.1, "m": 1.2}
@@ -251,6 +263,20 @@ class TestExtremal:
         assert sidecar["converged"] is True
         assert 1.6 < sidecar["cstar"] < 1.9107373657
         assert sidecar["el_residual"] <= 1e-4
+
+    def test_profile_is_evolve_initial_data(self, tmp_path):
+        # the profile is a field CSV: init.kind = csv runs it as it was written
+        out = tmp_path / "out"
+        assert main(["extremal", "--config", str(write_cfg(tmp_path)), "--out", str(out)]) \
+            == EXIT_OK
+        profile = out / "extremal_profile.csv"
+        cfg = write_cfg(tmp_path, f"init.kind = csv\ninit.csv = {profile}\nsim.t_end = 0.01\n")
+        run_out = tmp_path / "run"
+        assert main(["evolve", "--config", str(cfg), "--out", str(run_out)]) == EXIT_OK
+        first = (run_out / "trace.csv").read_text().splitlines()[1].split(",")
+        assert float(first[0]) == 0.0
+        assert float(first[1]) == pytest.approx(mass(field_from_csv(profile)), rel=1e-14)
+        assert float(first[1]) == pytest.approx(1.0, rel=1e-12)  # W has unit mass
 
     def test_deterministic_csv_bodies(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -550,7 +576,15 @@ class TestSelftest:
         assert [row[4] for row in rows[:-2]] == [None] * (len(rows) - 2)
         assert [row.group(4, 5) for row in rows[-2:]] == [
             ("solve", aggdiff.evolve._solve.__name__.lstrip("_")),
-            ("product", aggdiff.riesz._symv.__name__.lstrip("_"))]
+            ("product", aggdiff.riesz._symv.__name__ if aggdiff.riesz._symv else "gemv")]
+
+    def test_product_note_without_dsymv(self, tmp_path, capsys, monkeypatch):
+        # numpy builds without dsymv: the whole-grid product is the gemv
+        monkeypatch.setattr(aggdiff.riesz, "_symv", None)
+        cfg = write_cfg(tmp_path, "selftest.n = 128\n")
+        assert main(["selftest", "--config", str(cfg)]) == EXIT_OK
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("PASS  symmetric_product") and last.endswith("product: gemv")
 
     def test_corrupted_kernel_fails_named_check(self, tmp_path, capsys, monkeypatch):
         def doubled_kernel(grid, lam):

@@ -173,10 +173,10 @@ class TestSolve:
 
     def test_rejects_other_dimensions(self):
         import aggdiff as ag
-        # valid regime at d = 4, but the radial reduction is d = 3 only
-        e4 = ag.derive_exponents(ag.ModelParams(4, 1.7, 1.1))
-        with pytest.raises(ag.UnsupportedDimension):
-            solve_extremal(e4, RadialGrid(128, 4.0))
+        # valid regimes at d = 4 and 5, but the radial reduction is d = 3 only
+        for params in (ag.ModelParams(4, 1.7, 1.1), ag.ModelParams(5, 2.2, 1.1)):
+            with pytest.raises(ag.UnsupportedDimension):
+                solve_extremal(ag.derive_exponents(params), RadialGrid(128, 4.0))
 
 
 class TestElResidual:

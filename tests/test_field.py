@@ -1,6 +1,8 @@
 """Grid construction, reductions against quadrature oracles, the exact
 rescaling transforms, and the rearrangement."""
 
+import pickle
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -57,6 +59,24 @@ class TestGrid:
     def test_r_max_positive_and_finite(self, r_max):
         with pytest.raises(ValueError, match="r_max"):
             RadialGrid(8, r_max)
+
+
+class TestExtent:
+    def test_last_nonzero_cell_plus_one(self):
+        grid = RadialGrid(8, 1.0)
+        assert field_from_values(grid, np.zeros(8)).extent == 0
+        # inner zeros count, trailing ones do not
+        u = field_from_values(grid, [0.0, 2.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+        assert u.extent == 4
+        assert field_from_values(grid, np.ones(8)).extent == 8
+
+    def test_pickle_recomputes_the_extent(self):
+        # the pickle holds the grid and values only; the constructor that
+        # rebuilds the field computes the same extent
+        u = field_from_values(RadialGrid(8, 1.0), [1.0, 1.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0])
+        _, (grid, values) = u.__reduce__()
+        assert grid is u.grid and values is u.values
+        assert pickle.loads(pickle.dumps(u)).extent == u.extent == 3
 
 
 class TestMass:

@@ -281,3 +281,37 @@ class TestInvarianceOfBarrierQuantities:
     def test_product_and_barrier_under_dynamic_scaling(self, exps, gauss, kernel):
         # energy_report's product and barrier fields, through the shared measure
         assert scale_invariance_defect(gauss, exps, kernel) <= 1e-6
+
+
+# every entry point where exponents meet a kernel, called as (u, exps, kernel)
+_KERNEL_READERS = {
+    "free_energy": free_energy,
+    "vhls_quotient": vhls_quotient,
+    "energy_report": energy_report,
+    "chemical_potential": chemical_potential,
+    "el_residual": lambda u, e, k: ag.el_residual(u, 1.0, e, k),
+    "step": lambda u, e, k: ag.step(u, k, e, ag.SimConfig(t_end=1.0)),
+    "dissipation": dissipation,
+    "virial_check": ag.virial_check,
+    "classify": lambda u, e, k: ag.classify(u, ag.Thresholds(1e3, 1e3, 1.8), e, k),
+}
+
+
+class TestKernelMatchesExponents:
+    """The kernel must be the one the exponents describe: d = 3, and the
+    same power lam; a mismatch raises instead of giving numbers."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        return field_from_function(RadialGrid(64, 8.0), lambda r: np.exp(-(r**2)))
+
+    @pytest.mark.parametrize("reader", _KERNEL_READERS.values(), ids=_KERNEL_READERS)
+    def test_other_dimension_rejected(self, small, reader):
+        e5 = ag.derive_exponents(ag.ModelParams(5, 2.2, 1.1))
+        with pytest.raises(ag.UnsupportedDimension, match="d = 5"):
+            reader(small, e5, build_kernel(small.grid, e5.lam))
+
+    @pytest.mark.parametrize("reader", _KERNEL_READERS.values(), ids=_KERNEL_READERS)
+    def test_other_power_rejected(self, exps, small, reader):
+        with pytest.raises(ValueError, match=f"lam = 0.5 .*lam = {exps.lam!r}"):
+            reader(small, exps, build_kernel(small.grid, 0.5))

@@ -307,19 +307,23 @@ class TestOperatorBlock:
         pytest.param(1140, 9.0, 596, id="596"),
     ])
     def test_interaction_matches_full_rows(self, n, r_max, extent):
-        # h is the product on the support [0, e) alone, on the build grid and
-        # on one twice as long (fac = 2^(3 - lam)); the full-row product sums
-        # in another order, so it agrees to roundoff only
+        # h is the quadratic form of potential on the support [0, e) alone,
+        # on the build grid and on one twice as long (fac = 2^(3 - lam),
+        # applied to the potential before the dot product); the full-row
+        # product sums in another order, so it agrees to roundoff only
         grid = RadialGrid(n, r_max)
         kernel = build_kernel(grid, LAM)
         u = np.zeros(n)
         u[:extent] = np.random.default_rng(extent).random(extent) + 0.1
         V = grid.volumes
         for fac, on in ((1.0, grid), (2.0 ** (3.0 - LAM), RadialGrid(n, 2.0 * r_max))):
-            h = interaction(field_from_values(on, u), kernel)
+            field = field_from_values(on, u)
+            h = interaction(field, kernel)
             uv = u * on.volumes
+            assert field.extent == extent
+            assert h == uv[:extent] @ potential(field, kernel, rows=extent)
             sym = kernel.sym
-            assert h == fac * (uv[:extent] @ (sym[:extent, :extent] @ u[:extent] / V[:extent]))
+            assert h == uv[:extent] @ (fac * (sym[:extent, :extent] @ u[:extent] / V[:extent]))
             full = fac * (uv @ (sym[:, :extent] @ u[:extent] / V))
             assert abs(h - full) <= 1e-15 * full
 
@@ -448,8 +452,9 @@ class TestSymmetricProduct:
         whole = rng.random(n) + 0.1
         window = np.where(np.arange(n) < n // 3, whole, 0.0)
         for u in (whole, window):
-            want = riesz._gemv(sym, u)
-            np.testing.assert_allclose(riesz._symv(sym, u), want, rtol=1e-13, atol=0.0)
+            want = sym @ u
+            if riesz._symv is not None:
+                np.testing.assert_allclose(riesz._symv(sym, u), want, rtol=1e-13, atol=0.0)
             np.testing.assert_allclose(kernel.interaction_matvec(u), want / V,
                                        rtol=1e-13, atol=0.0)
 
@@ -460,7 +465,7 @@ class TestSymmetricProduct:
 
         def recording(block, x):
             calls.append(len(block))
-            return riesz._gemv(block, x)
+            return block @ x[: len(block)]
 
         monkeypatch.setattr(riesz, "_symv", recording)
         u = np.ones(grid.n)
@@ -477,7 +482,7 @@ class TestSymmetricProduct:
         # one input contract for a whole-grid product, whichever runs it,
         # and the same as a windowed product's
         if product == "gemv":
-            monkeypatch.setattr(riesz, "_symv", riesz._gemv)
+            monkeypatch.setattr(riesz, "_symv", None)
         kernel = build_kernel(RadialGrid(200, 4.0), LAM)
         ints = np.arange(1, 201)
         want = kernel.interaction_matvec(ints.astype(np.float64))
@@ -495,7 +500,7 @@ class TestSymmetricProduct:
         loaded = ag.run(u0, cfg, kernel, exps)
         monkeypatch.setattr(riesz, "_openblas", lambda symbol, nargs: None)
         assert riesz._blas_dsymv() is None
-        monkeypatch.setattr(riesz, "_symv", riesz._gemv)
+        monkeypatch.setattr(riesz, "_symv", None)
         fallback = ag.run(u0, cfg, kernel, exps)
         assert loaded.outcome is fallback.outcome is ag.Outcome.COMPLETED_BOUNDED
         assert len(loaded.t) == len(fallback.t) > 5
@@ -511,12 +516,22 @@ class TestSymmetricProduct:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
         if not (sys.platform.startswith("linux") and blas == "scipy-openblas"):
             pytest.skip(f"numpy links {blas} on {sys.platform}")
-        assert riesz._symv is not riesz._gemv
+        assert riesz._symv is not None
+
+    def test_without_dsymv_the_square_is_a_rectangle(self, monkeypatch):
+        # numpy builds without dsymv: the whole-grid product is the gemv of
+        # every other product, on the n x n block, bit for bit
+        monkeypatch.setattr(riesz, "_symv", None)
+        grid = RadialGrid(300, 4.0)
+        kernel = build_kernel(grid, LAM)
+        u = np.random.default_rng(3).random(grid.n) + 0.1
+        np.testing.assert_array_equal(kernel.interaction_matvec(u),
+                                      kernel.sym @ u / grid.volumes)
 
     def test_invalid_arguments_raise(self):
         # arrays dsymv would overrun or misread never reach it; a vector it
         # can read as float64 is converted
-        if riesz._symv is riesz._gemv:
+        if riesz._symv is None:
             pytest.skip("gemv is the whole-grid product")
         block = build_kernel(RadialGrid(8, 1.0), LAM).sym
         want = riesz._symv(block, np.ones(8))
@@ -543,6 +558,11 @@ class TestPotential:
         # the prefactor argument is gone: an old call must fail, not rebind rows
         with pytest.raises(TypeError):
             potential(gauss1024, kernel1024, 1.0)
+
+    def test_extent_is_the_fields_own(self, gauss1024, kernel1024):
+        # the support extent comes from the field (RadialField.extent) alone
+        with pytest.raises(TypeError):
+            potential(gauss1024, kernel1024, extent=3)
 
     def test_gaussian_against_oracle(self, gauss1024, kernel1024):
         f = lambda r: np.exp(-(r**2))
