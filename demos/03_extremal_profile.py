@@ -61,8 +61,8 @@ print(f"  scaled energy H / g(x_star) - 1 = {H/thr.g_at_xstar - 1:+.2e}")
 
 mu = chemical_potential(wt, exps, kernel)
 on = wt.values > 1e-6 * wt.values.max()
-spread = mu.values[on].max() - mu.values[on].min()
-print(f"  chemical potential on support: mean {mu.values[on].mean():.6f}, "
+spread = mu[on].max() - mu[on].min()
+print(f"  chemical potential on support: mean {mu[on].mean():.6f}, "
       f"spread {spread:.2e}  (steady state: constant)")
 print(f"  dissipation integral = {dissipation(wt, exps, kernel):.3e}")
 lhs, rhs = virial_check(wt, exps, kernel)

@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .evolve import Outcome, SimTrace
-from .field import RadialField
+from .field import RadialField, _check_density
 from .functionals import Thresholds, _moment_rate, energy_report
 from .params import Exponents
 from .riesz import ReducedKernel
@@ -80,12 +80,14 @@ def classify(
     exps: Exponents,
     kernel: ReducedKernel,
 ) -> Classification:
-    """Apply the dichotomy rule with the relative band _BAND around x_star.
+    """Apply the dichotomy rule with the relative band _BAND around x_star
+    to u0, which must be finite and nonnegative (ValueError otherwise).
 
     GlobalExistence requires the energy hypothesis and product strictly
     below x_star by more than the band; FiniteTimeBlowup the same with the
     product above; anything else is Indeterminate.
     """
+    _check_density(u0.values, "classify")
     rep = energy_report(u0, exps, kernel)
     product, energy_lhs = rep.product, rep.barrier
     x_star, g_star = thresholds.x_star, thresholds.g_at_xstar
@@ -122,10 +124,10 @@ def classify(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BarrierReport:
     """Whether the recorded invariant product stayed on its side of x_star
-    along a run, and the extreme ratio observed."""
+    along a run, and the extreme ratio observed.  Compares by identity."""
 
     ratios: np.ndarray
     max_ratio: float

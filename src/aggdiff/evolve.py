@@ -67,7 +67,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NonFiniteValue
-from .field import RadialField, _write_csv, lp_norm, mass, second_moment
+from .field import RadialField, _check_density, _write_csv, lp_norm, mass, second_moment
 from .functionals import _check_kernel, _moment_rate, _pressure, free_energy
 from .params import Exponents
 from .riesz import ReducedKernel, _openblas, potential
@@ -125,13 +125,14 @@ class Outcome(str, Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass
+@dataclass(eq=False)
 class SimTrace:
     """Diagnostic time series plus the terminal outcome.
 
     Columns, in CSV order: time, mass, L^m norm, sup norm, free energy,
     second moment, the scheme's own dissipation (`dissipation`),
     and the last step taken before each record (0 before the first step).
+    Traces compare by identity, as the fields they hold do.
     """
 
     t: np.ndarray
@@ -314,7 +315,7 @@ def step(
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Measures of initial data that hypothesis_check found finite: mass,
+    """Measures of initial data that hypothesis_check admitted: mass,
     sup norm, second moment, and the L^2 norm of d_r(u^m), plus whether the
     data stays clear of the outer 5% of the domain (see _reaches_boundary)."""
 
@@ -333,14 +334,12 @@ def _reaches_boundary(u: RadialField) -> bool:
 
 
 def hypothesis_check(u0: RadialField, exps: Exponents) -> HypothesisReport:
-    """Check that initial data is finite (NonFiniteValue otherwise) and
-    measure what the dichotomy's hypotheses ask of it: mass, sup norm,
-    second moment and the L^2 norm of d_r(u^m).  Warns if the data already
-    reaches the outer 5% of the domain."""
-    v = u0.values
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteValue("initial data contains NaN or infinity")
-    um = v**exps.m
+    """Check that initial data is finite and nonnegative (ValueError
+    otherwise) and measure what the dichotomy's hypotheses ask of it: mass,
+    sup norm, second moment and the L^2 norm of d_r(u^m).  Warns if the data
+    already reaches the outer 5% of the domain."""
+    _check_density(u0.values, "hypothesis_check")
+    um = u0.values**exps.m
     g = (um[1:] - um[:-1]) / u0.grid.dr
     rho = u0.grid.edges[1:-1]
     grad_l2 = float(np.sqrt(np.sum(g**2 * 4.0 * np.pi * rho**2 * u0.grid.dr)))
@@ -364,8 +363,9 @@ def run(
 ) -> SimTrace:
     """Integrate to t_end, the blow-up trigger, or time-step collapse.
 
-    Records diagnostics every cfg.record_every steps (plus the initial and
-    final states).  The step collapses when it no longer advances t.
+    u0 passes hypothesis_check first.  Records diagnostics every
+    cfg.record_every steps (plus the initial and final states).  The step
+    collapses when it no longer advances t.
     Outcomes: CompletedBounded when t_end is reached; BlowupDetected when
     the sup norm crosses the trigger (or the step collapses while the run
     is focusing); Inconclusive otherwise, as when any step, the final one

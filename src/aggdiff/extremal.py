@@ -79,13 +79,14 @@ class ExtremalOptions:
                              f"expected one of {', '.join(_INITS)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtremalProfile:
     """Converged (or best-so-far) maximizer with diagnostics.
 
     w is normalized to unit mass and unit L^m norm; cstar = h(w) equals the
     quotient J(w) under that normalization.  j_history records the quotient
-    at every accepted iteration (it must be nondecreasing).
+    at every accepted iteration (it must be nondecreasing).  Profiles
+    compare by identity, as their fields do.
     """
 
     w: RadialField

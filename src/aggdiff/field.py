@@ -3,11 +3,14 @@
 Fields are radially symmetric densities on a uniform cell-centered grid in
 the radius r, with exact spherical-shell volumes (d = 3).  Cell values are
 interpreted as shell averages, so sums like sum(u_i * V_i) are the discrete
-integrals.  All reductions (mass, norms, moments) are defined here, together
-with the exact two-parameter rescaling u -> alpha * u(lambda x), which acts
-on (values, grid) jointly without any interpolation: the grid radii divide
-by lambda and the values multiply by alpha, so every power-law transformation
-rule holds to machine precision.
+integrals.  Density values are finite and nonnegative: _check_density is
+the one definition, run at each door values come in by (field_from_values,
+field_from_csv, hypothesis_check and so run, and classify).  All reductions
+(mass, norms, moments) are defined here, together with the exact
+two-parameter rescaling u -> alpha * u(lambda x), which acts on (values,
+grid) jointly without any interpolation: the grid radii divide by lambda and
+the values multiply by alpha, so every power-law transformation rule holds
+to machine precision.
 """
 
 from __future__ import annotations
@@ -55,6 +58,14 @@ def _support_extent(values: np.ndarray) -> int:
     """Index of the last nonzero cell plus one (0 for the zero field)."""
     nonzero = values.nonzero()[0]
     return int(nonzero[-1]) + 1 if nonzero.size else 0
+
+
+def _check_density(values: np.ndarray, what: str) -> None:
+    """Raise ValueError, naming what, unless values are finite and nonnegative."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what}: non-finite density value")
+    if (values < 0.0).any():
+        raise ValueError(f"{what}: negative density value")
 
 
 @dataclass(frozen=True)
@@ -111,10 +122,12 @@ class RadialGrid:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialField:
     """Nonnegative radial density: per-cell values on a RadialGrid, and their
-    support extent (_support_extent, set once by the constructor)."""
+    support extent (_support_extent, set once by the constructor).  The
+    constructor checks the shape only: values from outside are checked at
+    their door (_check_density).  Fields compare by identity."""
 
     grid: RadialGrid
     values: np.ndarray
@@ -139,9 +152,9 @@ class RadialField:
 
 
 def field_from_values(grid: RadialGrid, values: np.ndarray) -> RadialField:
+    """The field of finite, nonnegative cell values (ValueError otherwise)."""
     values = np.asarray(values, dtype=float)
-    if np.any(values < 0):
-        raise ValueError("density values must be nonnegative")
+    _check_density(values, "field_from_values")
     return RadialField(grid, values)
 
 
@@ -173,7 +186,7 @@ def lp_norm(u: RadialField, q: float) -> float:
     """Discrete L^q norm (sum(u_i^q V_i))^(1/q); q = inf gives max u_i."""
     if q == np.inf:
         return float(np.max(u.values))
-    if q < 1.0:
+    if not q >= 1.0:
         raise ValueError(f"lp_norm needs q >= 1 or q = inf, got {q}")
     return float((u.values**q) @ u.grid.volumes) ** (1.0 / q)
 
@@ -302,12 +315,9 @@ def field_from_csv(path) -> RadialField:
     if data.shape[0] < 2 or data.shape[1] != 2:
         raise ValueError(f"field CSV needs columns r,u and at least 2 rows, "
                          f"got shape {data.shape}")
-    if not np.all(np.isfinite(data)):
-        raise ValueError("field CSV holds a non-finite value")
-    if np.any(data[:, 1] < 0.0):
-        raise ValueError("field CSV holds a negative density")
     r = data[:, 0]
     vals = data[:, 1]
+    _check_density(vals, "field CSV")
     n = len(r)
     dr = r[1] - r[0]
     if not np.allclose(np.diff(r), dr, rtol=1e-10):

@@ -95,8 +95,9 @@ def free_energy(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> float
 
 def chemical_potential(
     u: RadialField, exps: Exponents, kernel: ReducedKernel
-) -> RadialField:
-    """mu = m/(m-1) u^(m-1) - c, cellwise.  At u = 0 the entropy part is 0
+) -> np.ndarray:
+    """The cell values of mu = m/(m-1) u^(m-1) - c, as potential returns
+    c's: mu is signed, not a density.  At u = 0 the entropy part is 0
     (m > 1), so mu = -c there.
 
     The potential is evaluated through the symmetrized weights, which makes
@@ -105,7 +106,7 @@ def chemical_potential(
     """
     _check_kernel(exps, kernel)
     c = exps.c_ds * potential(u, kernel)
-    return RadialField(u.grid, _pressure(u.values, exps.m) - c)
+    return _pressure(u.values, exps.m) - c
 
 
 def _pressure(values: np.ndarray, m: float) -> np.ndarray:

@@ -20,8 +20,8 @@ its RadialField.extent: a density on 150 of 1,140 cells costs a 256 x 256
 block, whose square [0, e) alone gives its interaction energy.  A product
 over the whole grid, sources and targets, reads one triangle of S through
 BLAS dsymv where numpy links scipy-openblas; every other product, and that
-one on other numpy builds, is a gemv on its rectangle.  Each accepts any
-1-D numeric vector and returns float64.
+one on other numpy builds, is a gemv on its rectangle.  Each takes a 1-D
+numeric vector of the grid's n cells and returns float64.
 
 On the uniform grid the tables are assembled in unit coordinates (radii
 divided by dr).  Targets sit at the cell centres i + 1/2 (potential) or the
@@ -106,6 +106,13 @@ def _blas_dsymv():
 
 # the whole-grid product, chosen once at import; if None, the square's gemv
 _symv = _blas_dsymv()
+
+
+def _check_lam(lam: float) -> None:
+    """Raise ValueError unless 0 < lam < 1, the kernel powers the closed
+    forms here are written for."""
+    if not 0.0 < lam < 1.0:
+        raise ValueError(f"kernel power must satisfy 0 < lam < 1, got {lam}")
 
 
 def _shell_integral(r: np.ndarray, a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
@@ -298,8 +305,7 @@ class ReducedKernel:
     frc: np.ndarray = dataclass_field(default=_LazyTable(_frc_table, 2.0, 1), repr=False)
 
     def __post_init__(self):
-        if not (0.0 < self.lam < 1.0):
-            raise ValueError(f"kernel power must satisfy 0 < lam < 1, got {self.lam}")
+        _check_lam(self.lam)
 
     def _unit(self, power: float) -> tuple[float, float]:
         """t = 2 - lam and the factor (2 pi / t) dr^(power - lam) that scales
@@ -363,16 +369,23 @@ class ReducedKernel:
         empty cells contribute nothing.  The result covers target cells
         [0, rows), all of them by default; the block grows to cover both,
         unless extent is 0: the zero field's product reads no block.  values
-        may be any 1-D numeric vector; the result is float64 either way, and
-        its last bits follow OpenBLAS's thread count, as a gemv's do."""
-        if extent is None:
-            extent = _support_extent(values)
-        if rows is None:
-            rows = self.grid.n
+        must be a 1-D numeric vector of the grid's n cells, and rows and
+        extent lie in [0, n] (ValueError otherwise); the result is float64
+        whatever its dtype, and its last bits follow OpenBLAS's thread count,
+        as a gemv's do."""
+        n = self.grid.n
+        if np.shape(values) != (n,):
+            raise ValueError(f"values must be a 1-D vector of the grid's {n} cells, "
+                             f"got shape {np.shape(values)}")
+        rows = n if rows is None else rows
+        extent = _support_extent(values) if extent is None else extent
+        if not (0 <= rows <= n and 0 <= extent <= n):
+            name, k = ("rows", rows) if not 0 <= rows <= n else ("extent", extent)
+            raise ValueError(f"{name} must lie in [0, {n}], got {k!r}")
         if extent == 0:
             return np.zeros(rows)
         block = self._operator(max(rows, extent))
-        if rows == extent == self.grid.n and _symv is not None:
+        if rows == extent == n and _symv is not None:
             out = _symv(block, values)
         else:
             out = block[:rows, :extent] @ values[:extent]
@@ -441,8 +454,10 @@ def potential_at(u: RadialField, r_targets: np.ndarray, lam: float) -> np.ndarra
 
     Rows are integrated on the fly with the same exact antiderivatives as
     build_kernel but without the volume symmetrization; targets at or very
-    near r = 0 use the analytic limit of the reduced kernel.
+    near r = 0 use the analytic limit of the reduced kernel.  lam must
+    satisfy 0 < lam < 1, as for build_kernel (ValueError otherwise).
     """
+    _check_lam(lam)
     r_targets = np.atleast_1d(np.asarray(r_targets, dtype=float))
     e = u.grid.edges
     a, b = e[:-1], e[1:]

@@ -141,7 +141,7 @@ def test_criterion_06_threshold_identities(exps, profile_n1024):
     assert abs(lhs - rhs) <= 1e-3 * abs(rhs)
     mu = ag.chemical_potential(wt, exps, kernel)
     on = wt.values > 1e-6 * wt.values.max()
-    spread = (mu.values[on].max() - mu.values[on].min()) / abs(mu.values[on].mean())
+    spread = (mu[on].max() - mu[on].min()) / abs(mu[on].mean())
     assert spread <= 1e-3
     report(6, f"g'(x*) fd {fd * (exps.m - 1):.2e}, moment identity {ident / thr.x_star:.2e}, "
               f"steady identity, mu spread {spread:.2e} <= 1e-3")

@@ -50,7 +50,7 @@ def test_threshold_structure(exps_alt, profile_alt):
     assert abs(prod / thr.x_star - 1.0) <= 1e-10
     mu = ag.chemical_potential(wt, exps_alt, kernel)
     on = wt.values > 1e-6 * wt.values.max()
-    spread = (mu.values[on].max() - mu.values[on].min()) / abs(mu.values[on].mean())
+    spread = (mu[on].max() - mu[on].min()) / abs(mu[on].mean())
     assert spread <= 1e-3
     lhs, rhs = ag.virial_check(wt, exps_alt, kernel)
     scale = abs(2.0 * d - 2.0 * (d - 2 * s) / (m - 1.0)) * ag.lp_norm(wt, m) ** m

@@ -161,6 +161,8 @@ class TestConfig:
             "r,u\n5.5,1.0\n6.5,0.5\n7.5,0.0\n",  # first centre not at dr/2
             "r,u\n0.5,1.0\n1.5,nan\n2.5,0.0\n",  # not finite
             "r,u\n0.5,1.0\n1.5,-0.5\n2.5,0.0\n",  # negative density
+            "r,u\n0.5,1.0\ninf,0.5\n2.5,0.0\n",  # a radius not finite
+            "r,u\nnan,1.0\n1.5,0.5\n",          # a radius not finite, two rows
         ],
     )
     def test_bad_init_csv_rejected_at_load(self, tmp_path, capsys, cmd, body):

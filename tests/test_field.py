@@ -61,6 +61,98 @@ class TestGrid:
             RadialGrid(8, r_max)
 
 
+# the doors through which density values come in from outside, each named
+# in its refusal; the last three take a field built without any check
+def _through_values(grid, vals, exps, tmp_path):
+    field_from_values(grid, vals)
+
+
+def _through_csv(grid, vals, exps, tmp_path):
+    path = tmp_path / "f.csv"
+    ag.field_to_csv(ag.RadialField(grid, vals), path)
+    ag.field_from_csv(path)
+
+
+def _through_hypothesis_check(grid, vals, exps, tmp_path):
+    ag.hypothesis_check(ag.RadialField(grid, vals), exps)
+
+
+def _through_run(grid, vals, exps, tmp_path):
+    ag.run(ag.RadialField(grid, vals), ag.SimConfig(t_end=0.05),
+           ag.build_kernel(grid, exps.lam), exps)
+
+
+def _through_classify(grid, vals, exps, tmp_path):
+    ag.classify(ag.RadialField(grid, vals), ag.Thresholds(1e3, 1e3, 1.8), exps,
+                ag.build_kernel(grid, exps.lam))
+
+
+_DOORS = {
+    "field_from_values": (_through_values, "field_from_values"),
+    "field_from_csv": (_through_csv, "field CSV"),
+    "hypothesis_check": (_through_hypothesis_check, "hypothesis_check"),
+    "run": (_through_run, "hypothesis_check"),
+    "classify": (_through_classify, "classify"),
+}
+
+
+class TestAdmissibleDensity:
+    @pytest.mark.parametrize("bad, kind", [(np.nan, "non-finite"), (np.inf, "non-finite"),
+                                           (-0.3, "negative")])
+    @pytest.mark.parametrize("door", _DOORS)
+    def test_each_door_refuses(self, exps, tmp_path, door, bad, kind):
+        grid = RadialGrid(256, 8.0)
+        vals = 0.5 * np.exp(-grid.centers**2)
+        vals[20] = bad
+        through, name = _DOORS[door]
+        with pytest.raises(ValueError, match=f"{name}: {kind}"):
+            through(grid, vals, exps, tmp_path)
+
+    def test_values_holding_nan_and_inf(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            field_from_values(RadialGrid(4, 1.0), [np.nan, 1.0, 0.0, np.inf])
+
+
+# two distinct results with equal values, of each type that holds arrays
+def _two_fields(exps):
+    grid = RadialGrid(4, 1.0)
+    return ag.RadialField(grid, np.ones(4)), ag.RadialField(grid, np.ones(4))
+
+
+def _two_traces(exps):
+    grid = RadialGrid(64, 8.0)
+    u0 = field_from_function(grid, lambda r: 0.3 * np.exp(-(r**2)))
+    kernel = ag.build_kernel(grid, exps.lam)
+    return tuple(ag.run(u0, ag.SimConfig(t_end=0.01), kernel, exps) for _ in range(2))
+
+
+def _two_profiles(exps):
+    return tuple(ag.solve_extremal(exps, RadialGrid(256, 4.0)) for _ in range(2))
+
+
+def _two_barrier_reports(exps):
+    trace = _two_traces(exps)[0]
+    return tuple(ag.barrier_check(trace, ag.Thresholds(1e3, 1e3, 1.8), exps)
+                 for _ in range(2))
+
+
+class TestIdentity:
+    @pytest.mark.parametrize("make", [_two_fields, _two_traces, _two_profiles,
+                                      _two_barrier_reports],
+                             ids=["RadialField", "SimTrace", "ExtremalProfile", "BarrierReport"])
+    def test_results_compare_by_identity(self, exps, make):
+        a, b = make(exps)
+        assert a == a and a != b and not a == b
+        assert hash(a) == hash(a)
+        assert {a, b, a} == {a, b} and len({a, b}) == 2
+
+    def test_grid_compares_by_value(self):
+        # a grid holds no array: equal cell counts and radii are one grid
+        assert RadialGrid(4, 1.0) == RadialGrid(4, 1.0)
+        assert hash(RadialGrid(4, 1.0)) == hash(RadialGrid(4, 1.0))
+        assert RadialGrid(4, 1.0) != RadialGrid(4, 2.0)
+
+
 class TestExtent:
     def test_last_nonzero_cell_plus_one(self):
         grid = RadialGrid(8, 1.0)
@@ -129,6 +221,12 @@ class TestLpNorm:
         for q in (1.0, 1.2, 2.0, np.inf):
             assert np.isclose(lp_norm(u.with_values(3.0 * u.values), q),
                               3.0 * lp_norm(u, q), rtol=1e-13)
+
+    @pytest.mark.parametrize("q", [0.5, -np.inf, np.nan])
+    def test_order_below_one_or_nan_rejected(self, q):
+        # q < 1.0 is False for NaN: the order must be checked as q >= 1
+        with pytest.raises(ValueError, match="q >= 1"):
+            lp_norm(gaussian_field(n=64, r_max=4.0), q)
 
 
 class TestSecondMoment:

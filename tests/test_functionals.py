@@ -24,6 +24,7 @@ from aggdiff import (
     lp_norm,
     mass,
     normalize_both_norms,
+    potential,
     vhls_quotient,
     xstar_threshold,
 )
@@ -76,7 +77,17 @@ class TestChemicalPotential:
     def test_zero_field(self, exps, grid, kernel):
         u = field_from_values(grid, np.zeros(grid.n))
         mu = chemical_potential(u, exps, kernel)
-        assert np.all(mu.values == 0.0)
+        assert np.all(mu == 0.0)
+
+    def test_cell_values(self, exps, gauss, kernel):
+        # mu is signed, so no density holds it: its cell values, as
+        # potential returns c's
+        mu = chemical_potential(gauss, exps, kernel)
+        assert type(mu) is np.ndarray and mu.shape == (gauss.grid.n,)
+        assert mu.min() < 0.0 < mu.max()
+        m = exps.m
+        pressure = gauss.values ** (m - 1.0) * (m / (m - 1.0))
+        np.testing.assert_array_equal(mu, pressure - exps.c_ds * potential(gauss, kernel))
 
     def test_decoupled_entropy_only(self, exps, gauss, kernel):
         # with the interaction switched off, mu is the bare entropy slope
@@ -84,15 +95,15 @@ class TestChemicalPotential:
         mu = chemical_potential(gauss, exps0, kernel)
         m = exps.m
         expect = m / (m - 1.0) * gauss.values ** (m - 1.0)
-        assert np.allclose(mu.values, expect, rtol=1e-12)
+        assert np.allclose(mu, expect, rtol=1e-12)
 
     def test_constant_on_support_at_steady_profile(self, exps, profile_n512):
         wt = ag.threshold_profile(profile_n512, exps)
         kernel_wt = build_kernel(wt.grid, exps.lam)
         mu = chemical_potential(wt, exps, kernel_wt)
         on = wt.values > 1e-6 * wt.values.max()
-        spread = mu.values[on].max() - mu.values[on].min()
-        assert spread <= 1e-3 * abs(np.mean(mu.values[on]))
+        spread = mu[on].max() - mu[on].min()
+        assert spread <= 1e-3 * abs(np.mean(mu[on]))
 
 
 class TestQuotient:

@@ -89,6 +89,13 @@ class TestBuild:
                 with pytest.raises(ValueError):
                     make(grid1024, lam)
 
+    @pytest.mark.parametrize("lam", [2.0, 3.5, -1.0, 1.0, float("nan")])
+    def test_pointwise_potential_rejects_bad_power(self, grid1024, gauss1024, lam):
+        # the same admissible powers as the kernel: at 2 the closed forms
+        # divide by zero, at 3.5 they warn, at -1 they grow with |x - y|
+        with pytest.raises(ValueError, match="0 < lam < 1"):
+            potential_at(gauss1024, np.array([0.0, 1.0]), lam)
+
     def test_rejects_wrong_shape_table(self):
         # a larger pinned pot would be sliced silently into the operator
         # block; tables of the right shape (dataclasses.replace) are kept
@@ -422,6 +429,29 @@ class TestInteractionMatvec:
         assert np.all(kernel1024.interaction_matvec(u) == 0.0)
         part = kernel1024.interaction_matvec(u, rows=1, extent=0)
         assert part.shape == (1,) and part[0] == 0.0
+
+    # a product reads a grid vector over a window inside the grid
+    @pytest.mark.parametrize("values, kwargs, name", [
+        # missing cells read as empty
+        pytest.param(np.ones(100), {}, "values", id="short"),
+        # failed inside the dsymv guard, naming a routine the caller never called
+        pytest.param(np.ones((300, 1)), {}, "values", id="column"),
+        pytest.param(np.ones(300), {"extent": 500}, "extent", id="extent_past_grid"),
+        pytest.param(np.ones(300), {"extent": -1}, "extent", id="extent_negative"),
+        # returned n entries and rebuilt the block on every call
+        pytest.param(np.ones(300), {"rows": 400}, "rows", id="rows_past_grid"),
+        pytest.param(np.ones(300), {"rows": -3}, "rows", id="rows_negative"),
+    ])
+    def test_arguments_checked_at_entry(self, values, kwargs, name):
+        kernel = build_kernel(RadialGrid(300, 4.0), LAM)
+        with pytest.raises(ValueError, match=f"^{name} "):
+            kernel.interaction_matvec(values, **kwargs)
+
+    def test_potential_rows_inside_the_grid(self):
+        grid = RadialGrid(300, 4.0)
+        u = field_from_function(grid, lambda r: np.exp(-(r**2)))
+        with pytest.raises(ValueError, match="^rows "):
+            potential(u, build_kernel(grid, LAM), rows=-3)
 
     def test_replaced_pot_rederives_operator(self, grid1024, kernel1024, gauss1024):
         # the corrupt-kernel gates double pot with dataclasses.replace; the
