@@ -17,8 +17,8 @@ from aggdiff import (
     compute_thresholds,
     derive_exponents,
     dissipation,
+    energy_report,
     field_to_csv,
-    free_energy,
     hls_sharp_constant,
     lp_norm,
     mass,
@@ -54,10 +54,9 @@ kernel = build_kernel(wt.grid, exps.lam)
 print()
 print("threshold-scaled member (sup norm 1, invariant product = x_star)")
 print(f"  support radius = {support_radius(wt):.4f}, mass = {mass(wt):.4f}")
-prod = mass(wt) ** exps.a * lp_norm(wt, exps.m) ** exps.m
-print(f"  product/x_star - 1 = {prod/thr.x_star - 1:+.2e}")
-H = mass(wt) ** exps.a * free_energy(wt, exps, kernel)
-print(f"  scaled energy H / g(x_star) - 1 = {H/thr.g_at_xstar - 1:+.2e}")
+rep = energy_report(wt, exps, kernel)
+print(f"  product/x_star - 1 = {rep.product/thr.x_star - 1:+.2e}")
+print(f"  scaled energy H / g(x_star) - 1 = {rep.barrier/thr.g_at_xstar - 1:+.2e}")
 
 mu = chemical_potential(wt, exps, kernel)
 on = wt.values > 1e-6 * wt.values.max()

@@ -14,8 +14,8 @@ from aggdiff import (
     apply_dynamic_scaling,
     build_kernel,
     derive_exponents,
+    energy_report,
     field_from_function,
-    free_energy,
     interaction,
     lp_norm,
     mass,
@@ -36,12 +36,10 @@ print(f"  mass {mass(u):.6f}, ||u||_m {lp_norm(u, exps.m):.6f}, "
 print()
 print("dynamic rescaling u -> lam^(2s/(2-m)) u(lam x): exact invariants")
 print("  lam    ||.||_p          product          scaled energy")
-prod0 = mass(u) ** exps.a * lp_norm(u, exps.m) ** exps.m
 for lam in (0.5, 1.0, 2.0, 4.0):
     v = apply_dynamic_scaling(u, lam, exps)
-    prod = mass(v) ** exps.a * lp_norm(v, exps.m) ** exps.m
-    barr = mass(v) ** exps.a * free_energy(v, exps, kernel)
-    print(f"  {lam:4.1f}  {lp_norm(v, exps.p):.12f}  {prod:.10e}  {barr:+.8e}")
+    rep = energy_report(v, exps, kernel)
+    print(f"  {lam:4.1f}  {lp_norm(v, exps.p):.12f}  {rep.product:.10e}  {rep.barrier:+.8e}")
 
 print()
 v, lam, alpha = normalize_both_norms(u.with_values(3.0 * u.values), exps)

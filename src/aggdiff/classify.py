@@ -20,7 +20,7 @@ import numpy as np
 
 from .evolve import Outcome, SimTrace
 from .field import RadialField, _check_density
-from .functionals import Thresholds, _moment_rate, energy_report
+from .functionals import Thresholds, _moment_rate, _scaled, energy_report
 from .params import Exponents
 from .riesz import ReducedKernel
 
@@ -81,7 +81,8 @@ def classify(
     kernel: ReducedKernel,
 ) -> Classification:
     """Apply the dichotomy rule with the relative band _BAND around x_star
-    to u0, which must be finite and nonnegative (ValueError otherwise).
+    to u0, which must be finite and nonnegative (ValueError otherwise), with
+    invariants inside float64 (RegimeError otherwise, from energy_report).
 
     GlobalExistence requires the energy hypothesis and product strictly
     below x_star by more than the band; FiniteTimeBlowup the same with the
@@ -107,7 +108,7 @@ def classify(
     if verdict is Verdict.FINITE_TIME_BLOWUP:
         # M2' = _moment_rate(F, ||u||_m^m), with F <= F(u0) and ||u||_m^m >=
         # x_star / ||u0||_1^a while the product stays above
-        delta = -_moment_rate(exps, rep.free_energy, x_star / rep.mass**exps.a)
+        delta = -_moment_rate(exps, rep.free_energy, x_star / _scaled(exps, rep.mass))
         t_virial = rep.second_moment / delta
 
     return Classification(
@@ -141,9 +142,9 @@ def barrier_check(trace: SimTrace, thresholds: Thresholds, exps: Exponents) -> B
 
     For a run classified as globally existing the ratio must stay below one
     for all time; for a blow-up run it must stay above one up to detection.
+    Raises RegimeError if a recorded product overflows float64.
     """
-    product = trace.mass**exps.a * trace.lm**exps.m
-    ratios = product / thresholds.x_star
+    ratios = _scaled(exps, trace.mass, trace.lm**exps.m, "the product") / thresholds.x_star
     return BarrierReport(
         ratios=ratios,
         max_ratio=float(np.max(ratios)),

@@ -189,8 +189,9 @@ def _timestamp() -> str:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    """Write a JSON sidecar: two-space indent, keys in payload order."""
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    """Write a JSON sidecar: two-space indent, keys in payload order, and
+    strict JSON (a non-finite number raises ValueError, not Infinity)."""
+    path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def _solve(cfg: RunConfig):

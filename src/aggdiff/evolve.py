@@ -296,7 +296,10 @@ def step(
 ) -> tuple[RadialField, float]:
     """One extrapolated step 2 S(S(u, dt/2), dt/2) - S(u, dt) (see the
     module docstring); returns the new field and the step actually taken
-    (chosen by the accuracy rule when dt is None)."""
+    (chosen by the accuracy rule when dt is None).  A given dt must be
+    positive and finite (ValueError otherwise)."""
+    if dt is not None and not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     grid = u.grid
     op = _face_system(u, exps, kernel)
     if op[0] == 0.0:

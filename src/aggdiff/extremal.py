@@ -209,17 +209,14 @@ def solve_extremal(
 def threshold_profile(profile: ExtremalProfile, exps: Exponents) -> RadialField:
     """The member alpha * W(lam x) of the maximizer family that sits exactly
     at the barrier maximum: ||.||_1^a ||.||_m^m = x_star, with sup-norm one
-    for numerical conditioning.  Exact because the rescaling is exact."""
+    for numerical conditioning.  Exact because the rescaling is exact; lam is
+    rooted factor by factor, so it overflows nowhere x_star is finite."""
     thr = compute_thresholds(profile, exps)
     w_inf = lp_norm(profile.w, np.inf)
-    alpha = 1.0 / w_inf
-    # product(alpha * W(lam x)) = alpha^(a+m) lam^(-d(a+1)) for unit-norm W;
-    # the root is taken factor by factor where their product overflows
+    # product(alpha W(lam x)) = alpha^(a+m) lam^(-d(a+1)) for unit-norm W; rooted per factor
     d_a1 = exps.d * (exps.a + 1.0)
-    lam = (thr.x_star * w_inf ** (exps.a + exps.m)) ** (-1.0 / d_a1)
-    if lam == 0.0:
-        lam = thr.x_star ** (-1.0 / d_a1) * w_inf ** (-(exps.a + exps.m) / d_a1)
-    return scale_field(profile.w, alpha, lam)
+    lam = thr.x_star ** (-1.0 / d_a1) * w_inf ** (-(exps.a + exps.m) / d_a1)
+    return scale_field(profile.w, 1.0 / w_inf, lam)
 
 
 def threshold_field(profile: ExtremalProfile, exps: Exponents) -> RadialField:

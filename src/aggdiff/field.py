@@ -5,12 +5,12 @@ the radius r, with exact spherical-shell volumes (d = 3).  Cell values are
 interpreted as shell averages, so sums like sum(u_i * V_i) are the discrete
 integrals.  Density values are finite and nonnegative: _check_density is
 the one definition, run at each door values come in by (field_from_values,
-field_from_csv, hypothesis_check and so run, and classify).  All reductions
-(mass, norms, moments) are defined here, together with the exact
-two-parameter rescaling u -> alpha * u(lambda x), which acts on (values,
-grid) jointly without any interpolation: the grid radii divide by lambda and
-the values multiply by alpha, so every power-law transformation rule holds
-to machine precision.
+field_from_function, field_from_csv, hypothesis_check and so run, and
+classify).  All reductions (mass, norms, moments) are defined here,
+together with the exact two-parameter rescaling u -> alpha * u(lambda x),
+which acts on (values, grid) jointly without any interpolation: the grid
+radii divide by lambda and the values multiply by alpha, so every power-law
+transformation rule holds to machine precision.
 """
 
 from __future__ import annotations
@@ -163,7 +163,9 @@ def field_from_function(grid: RadialGrid, f: Callable[[np.ndarray], np.ndarray])
 
     The average uses Gauss-Legendre quadrature of the integrand 4*pi*r^2*f(r),
     which makes the discrete mass agree with the continuum integral of f to
-    quadrature precision (not just to O(dr^2) midpoint accuracy).
+    quadrature precision (not just to O(dr^2) midpoint accuracy).  The
+    weights are positive, so a finite, nonnegative f gives a density; any
+    other average raises ValueError.
     """
     e = grid.edges
     a, b = e[:-1], e[1:]
@@ -173,7 +175,8 @@ def field_from_function(grid: RadialGrid, f: Callable[[np.ndarray], np.ndarray])
     for x, w in zip(_GL_NODES, _GL_WEIGHTS):
         r = mid + half * x
         acc += w * half * 4.0 * np.pi * r**2 * np.asarray(f(r), dtype=float)
-    values = np.maximum(acc / grid.volumes, 0.0)
+    values = acc / grid.volumes
+    _check_density(values, "field_from_function")
     return RadialField(grid, values)
 
 
@@ -201,10 +204,12 @@ def scale_field(u: RadialField, alpha: float, lam: float) -> RadialField:
 
     Implemented by moving the grid: the new grid has r_max / lam, the values
     multiply by alpha.  No resampling occurs, so all norm transformation laws
-    are exact: ||out||_q^q = alpha^q lam^(-3) ||u||_q^q.
+    are exact: ||out||_q^q = alpha^q lam^(-3) ||u||_q^q.  alpha and lam
+    must be positive and finite (ValueError naming the one that is not).
     """
-    if not lam > 0 or not alpha > 0:
-        raise ValueError("alpha and lam must be positive")
+    for name, factor in (("alpha", alpha), ("lam", lam)):
+        if not 0.0 < factor < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {factor!r}")
     new_grid = RadialGrid(u.grid.n, u.grid.r_max / lam)
     return RadialField(new_grid, alpha * u.values)
 
@@ -224,7 +229,8 @@ def resample_to(u: RadialField, grid: RadialGrid) -> RadialField:
 
 
 def pad_grid(u: RadialField, r_max_new: float) -> RadialField:
-    """Extend the domain to at least r_max_new by appending zero cells.
+    """Extend the domain to at least r_max_new, which must be finite
+    (ValueError otherwise), by appending zero cells.
 
     Existing values are copied unchanged and the cell width is kept up to
     roundoff: the new grid re-derives dr and its edges from n_new * dr, so
@@ -235,6 +241,8 @@ def pad_grid(u: RadialField, r_max_new: float) -> RadialField:
     mass, norms and moments, which are sums over those volumes.  For a field
     spread over its grid, mass agrees far closer, to about 1e-14 relative.
     """
+    if not -np.inf < r_max_new < np.inf:
+        raise ValueError(f"r_max_new must be finite, got {r_max_new!r}")
     if r_max_new <= u.grid.r_max:
         return u
     dr = u.grid.dr

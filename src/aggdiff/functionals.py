@@ -127,32 +127,41 @@ def vhls_quotient(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> flo
 def barrier_g(x: float, exps: Exponents, cstar: float) -> float:
     """g(x) = x/(m-1) - (c_ds/2) cstar x^beta, increasing up to x_star and
     decreasing beyond."""
-    if cstar <= 0.0:
-        raise ValueError("cstar must be positive")
+    if not 0.0 < cstar < np.inf:
+        raise ValueError("cstar must be positive and finite")
     x = np.asarray(x, dtype=float)
     out = x / (exps.m - 1.0) - 0.5 * exps.c_ds * cstar * x**exps.beta
     return float(out) if out.ndim == 0 else out
 
 
-def _power(x: float, p: float, name: str, exps: Exponents) -> float:
-    """x**p of floats; RegimeError past float64 (1/(beta - 1) and a grow as m -> 2 - 2s/d)."""
-    try:
-        return x**p
-    except OverflowError:
-        raise RegimeError(f"{name} overflows float64: m = {exps.m} lies too close to "
-                          f"2 - 2s/d = {2.0 - 2.0 * exps.s / exps.d:.6g}") from None
+def _finite(value, name: str, exps: Exponents):
+    """value, a float if 0-d; RegimeError if any entry of it is not finite."""
+    if not np.isfinite(value).all():
+        raise RegimeError(f"{name} overflows float64 at m = {exps.m} (a and 1/(beta - 1) grow "
+                          f"without bound as m -> 2 - 2s/d = {2.0 - 2.0 * exps.s / exps.d:.6g})")
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def xstar_threshold(exps: Exponents, cstar: float) -> Thresholds:
     """Maximizer of the barrier and its value, both positive for beta > 1.
-    Raises RegimeError if x_star overflows float64."""
-    if cstar <= 0.0:
-        raise ValueError("cstar must be positive")
+    cstar must be positive and finite (ValueError otherwise); raises
+    RegimeError if x_star overflows float64."""
+    if not 0.0 < cstar < np.inf:
+        raise ValueError("cstar must be positive and finite")
     beta, m = exps.beta, exps.m
-    x_star = _power(2.0 / ((m - 1.0) * exps.c_ds * cstar * beta), 1.0 / (beta - 1.0),
-                    "x_star", exps)
+    with np.errstate(over="ignore"):
+        x_star = _finite(np.float64(2.0 / ((m - 1.0) * exps.c_ds * cstar * beta))
+                         ** (1.0 / (beta - 1.0)), "x_star", exps)
     g_star = x_star * (beta - 1.0) / ((m - 1.0) * beta)
-    return Thresholds(x_star=float(x_star), g_at_xstar=float(g_star), cstar=float(cstar))
+    return Thresholds(x_star=x_star, g_at_xstar=g_star, cstar=float(cstar))
+
+
+def _scaled(exps: Exponents, n1, x=1.0, name: str = "||u||_1^a"):
+    """||u||_1^a x of a field's mass and scalar, or of a trace's columns, by the
+    scalar or the array power as given (the two can differ in the last bit)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        n1_a = _finite(np.asarray(n1, dtype=float)[()] ** exps.a, "||u||_1^a", exps)
+        return _finite(n1_a * x, name, exps)
 
 
 def _moment_rate(exps: Exponents, F: float, lm_m: float) -> float:
@@ -163,25 +172,23 @@ def _moment_rate(exps: Exponents, F: float, lm_m: float) -> float:
 
 def energy_report(u: RadialField, exps: Exponents, kernel: ReducedKernel) -> EnergyReport:
     """Assemble all scalar functionals of u in one pass.  Raises RegimeError
-    if ||u||_1^a overflows float64."""
+    if ||u||_1^a, the product or the scaled energy (barrier) overflows float64."""
     _check_kernel(exps, kernel)
     m = exps.m
     n1 = mass(u)
-    n1_a = _power(n1, exps.a, "||u||_1^a", exps)
     nm = lp_norm(u, m)
     entropy = nm**m / (m - 1.0)
     h = interaction(u, kernel)
     inter = 0.5 * exps.c_ds * h
     fe = entropy - inter
-    product = n1_a * nm**m
     return EnergyReport(
         entropy_term=entropy,
         interaction_term=inter,
         free_energy=fe,
         mass=n1,
         lm_norm=nm,
-        product=product,
-        barrier=n1_a * fe,
+        product=_scaled(exps, n1, nm**m, "the product"),
+        barrier=_scaled(exps, n1, fe, "the scaled energy"),
         vhls_quotient=h / (n1**exps.a0 * nm**exps.b0) if n1 > 0 else float("nan"),
         second_moment=second_moment(u),
     )

@@ -455,10 +455,13 @@ def potential_at(u: RadialField, r_targets: np.ndarray, lam: float) -> np.ndarra
     Rows are integrated on the fly with the same exact antiderivatives as
     build_kernel but without the volume symmetrization; targets at or very
     near r = 0 use the analytic limit of the reduced kernel.  lam must
-    satisfy 0 < lam < 1, as for build_kernel (ValueError otherwise).
+    satisfy 0 < lam < 1, as for build_kernel, and the radii must be finite
+    and nonnegative (ValueError otherwise).
     """
     _check_lam(lam)
     r_targets = np.atleast_1d(np.asarray(r_targets, dtype=float))
+    if not ((0.0 <= r_targets) & (r_targets < np.inf)).all():
+        raise ValueError("potential_at needs finite, nonnegative target radii")
     e = u.grid.edges
     a, b = e[:-1], e[1:]
     out = np.empty(len(r_targets))

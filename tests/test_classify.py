@@ -4,6 +4,7 @@ verdict with a run."""
 
 import json
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -203,6 +204,31 @@ class TestBarrierCheck:
         rep = barrier_check(tr, thresholds_n512, exps)
         assert rep.stayed_above
         assert rep.min_ratio > 1.0
+
+
+class TestOverflowingInvariants:
+    # m = 1.26 gives a = 27.6: x_star is 2.2e64, but a gaussian of amplitude
+    # 1e10 has ||u||_1^a = 3.8e296 and a product ||u||_1^a ||u||_m^m past float64
+    @pytest.fixture(scope="class")
+    def case(self):
+        e = ag.derive_exponents(ag.ModelParams(3, 1.1, 1.26))
+        thr = ag.compute_thresholds(ag.solve_extremal(e, ag.RadialGrid(256, 4.0)), e)
+        grid = ag.RadialGrid(256, 8.0)
+        u0 = ag.field_from_function(grid, lambda r: 1e10 * np.exp(-(r**2)))
+        return e, thr, u0, ag.build_kernel(grid, e.lam)
+
+    def test_classify_raises(self, case):
+        e, thr, u0, kernel = case
+        with pytest.raises(ag.RegimeError, match="the product overflows float64"):
+            classify(u0, thr, e, kernel)
+
+    def test_barrier_check_raises_without_warning(self, case):
+        e, thr, u0, kernel = case
+        tr = run(u0, SimConfig(t_end=1e-12), kernel, e)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ag.RegimeError, match="the product overflows float64"):
+                barrier_check(tr, thr, e)
 
 
 # barrier sides: the product stayed below x_star, above it, or crossed it

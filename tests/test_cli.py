@@ -328,12 +328,47 @@ class TestOverflowNearTopOfMRange:
         assert len(err) == 1 and err[0].startswith("regime error: ")
         assert "overflows float64" in err[0] and "2 - 2s/d" in err[0]
 
+    def test_overflowing_product_exit_code(self, tmp_path, capsys):
+        # m = 1.26 (a = 27.6): x_star is finite, but a gaussian of amplitude
+        # 1e10 has a product ||u||_1^a ||u||_m^m past float64
+        cfg = write_cfg(tmp_path, "params.m = 1.26\ninit.kind = gaussian\n"
+                                  "init.amplitude = 1e10\n")
+        out = tmp_path / "out"
+        assert main(["classify", "--config", str(cfg), "--out", str(out)]) == EXIT_REGIME
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("regime error: ")
+        assert "the product overflows float64" in err[0]
+        assert not (out / "classification.json").exists()
+
     def test_extremal_still_writes_profile(self, tmp_path):
         cfg = write_cfg(tmp_path, "params.m = 1.266\ngrid.n = 256\n")
         out = tmp_path / "out"
         assert main(["extremal", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         assert json.loads((out / "extremal_profile.json").read_text())["converged"] is True
         assert (out / "extremal_profile.csv").exists()
+
+
+class TestStrictJson:
+    def test_default_sidecars_parse_strictly(self, tmp_path):
+        def refuse(name):
+            raise AssertionError(f"sidecar holds {name}, which strict JSON has not")
+
+        cfg = write_cfg(tmp_path, "grid.n = 512\n")  # RunConfig's own grid
+        out = tmp_path / "out"
+        for command in ("extremal", "thresholds", "classify", "dichotomy", "evolve"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        sidecars = sorted(p.name for p in out.glob("*.json"))
+        assert sidecars == ["classification.json", "dichotomy.json", "extremal_profile.json",
+                            "thresholds.json", "trace.json"]
+        for name in sidecars:
+            json.loads((out / name).read_text(), parse_constant=refuse)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_value_fails_the_write(self, tmp_path, value):
+        path = tmp_path / "x.json"
+        with pytest.raises(ValueError, match="JSON compliant"):
+            aggdiff.cli._write_json(path, {"product": value})
+        assert not path.exists()
 
 
 class TestThresholds:

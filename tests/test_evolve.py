@@ -244,6 +244,13 @@ class TestStep:
         with pytest.raises(NonFiniteValue):
             step(bad, kernel, exps, cfg, dt=1e-6)
 
+    @pytest.mark.parametrize("dt", [-1.0, 0.0, np.nan, np.inf])
+    def test_given_step_positive_and_finite(self, exps, grid, kernel, dt):
+        # a negative step would run backward; nan is bad input, not a failed step
+        u = field_from_function(grid, lambda r: 0.5 * np.exp(-(r**2)))
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            step(u, kernel, exps, SimConfig(t_end=1.0), dt=dt)
+
     def test_rejects_other_dimensions(self, grid, kernel):
         e4 = ag.derive_exponents(ag.ModelParams(4, 1.7, 1.1))
         u = field_from_function(grid, lambda r: np.exp(-(r**2)))

@@ -67,6 +67,11 @@ def _through_values(grid, vals, exps, tmp_path):
     field_from_values(grid, vals)
 
 
+def _through_function(grid, vals, exps, tmp_path):
+    # f takes each cell's value on the whole cell, so its shell average is that value
+    field_from_function(grid, lambda r: vals[np.minimum((r / grid.dr).astype(int), grid.n - 1)])
+
+
 def _through_csv(grid, vals, exps, tmp_path):
     path = tmp_path / "f.csv"
     ag.field_to_csv(ag.RadialField(grid, vals), path)
@@ -89,6 +94,7 @@ def _through_classify(grid, vals, exps, tmp_path):
 
 _DOORS = {
     "field_from_values": (_through_values, "field_from_values"),
+    "field_from_function": (_through_function, "field_from_function"),
     "field_from_csv": (_through_csv, "field CSV"),
     "hypothesis_check": (_through_hypothesis_check, "hypothesis_check"),
     "run": (_through_run, "hypothesis_check"),
@@ -370,6 +376,15 @@ class TestScaleField:
             assert np.isclose(lp_norm(v, q), expect, rtol=1e-13)
 
 
+    @pytest.mark.parametrize("alpha, lam, name", [(np.inf, 1.0, "alpha"), (np.nan, 1.0, "alpha"),
+                                                  (0.0, 1.0, "alpha"), (1.0, np.inf, "lam"),
+                                                  (1.0, np.nan, "lam"), (1.0, -2.0, "lam")])
+    def test_factors_positive_and_finite(self, alpha, lam, name):
+        u = gaussian_field(n=64, r_max=5.0)
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            scale_field(u, alpha, lam)
+
+
 class TestPadGrid:
     def test_preserves_all_functionals_exactly(self):
         u = gaussian_field(n=256, r_max=5.0)
@@ -399,6 +414,12 @@ class TestPadGrid:
     def test_noop_when_already_large(self):
         u = gaussian_field(n=128, r_max=5.0)
         assert ag.pad_grid(u, 4.0) is u
+
+    @pytest.mark.parametrize("r_max_new", [np.nan, np.inf, -np.inf])
+    def test_radius_finite(self, r_max_new):
+        u = gaussian_field(n=64, r_max=5.0)
+        with pytest.raises(ValueError, match="r_max_new must be finite"):
+            ag.pad_grid(u, r_max_new)
 
 
 class TestCsvRoundTrip:

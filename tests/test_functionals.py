@@ -29,6 +29,7 @@ from aggdiff import (
     xstar_threshold,
 )
 from aggdiff.evolve import _face_system
+from aggdiff.functionals import _scaled
 from aggdiff.testing import max_hls_ratio, random_density, scale_invariance_defect
 
 from test_riesz import oracle_interaction
@@ -180,6 +181,13 @@ class TestBarrier:
         # beta = 4/3 gives x* ~ cstar^-3: a 1% increase shrinks x* by ~3%
         assert abs(x2 / x1 - 1.01 ** (-3.0)) <= 1e-10
 
+    @pytest.mark.parametrize("cstar", [0.0, -1.0, np.inf, np.nan])
+    def test_cstar_positive_and_finite(self, exps, cstar):
+        with pytest.raises(ValueError, match="cstar must be positive and finite"):
+            xstar_threshold(exps, cstar)
+        with pytest.raises(ValueError, match="cstar must be positive and finite"):
+            barrier_g(1.0, exps, cstar)
+
     def test_overflow_near_top_of_m_range_is_a_regime_error(self):
         # s = 1.1, m = 1.266 of a range ending at 1.2667: beta - 1 = 0.0025,
         # so x_star = base^(1/(beta - 1)) is past float64 at the solved cstar
@@ -192,6 +200,25 @@ class TestBarrier:
         kernel = build_kernel(u.grid, exps.lam)
         with pytest.raises(ag.RegimeError, match=r"\|\|u\|\|_1\^a overflows float64"):
             energy_report(u, exps, kernel)
+
+
+class TestScaledInvariants:
+    def test_scalar_and_array_powers_as_before(self, exps):
+        # a field's numbers take the scalar power and a trace's columns the
+        # array power, bit for bit as each was computed on its own before
+        rng = np.random.default_rng(3)
+        n1, x = rng.uniform(0.1, 1e3, 64), rng.uniform(-1e3, 1e3, 64)
+        np.testing.assert_array_equal(_scaled(exps, n1, x), n1**exps.a * x)
+        for a, b in zip(n1.tolist(), x.tolist()):
+            got = _scaled(exps, a, b)
+            assert type(got) is float and got == a**exps.a * b
+        assert _scaled(exps, 2.0) == 2.0**exps.a
+
+    def test_overflow_names_the_quantity(self, exps):
+        with pytest.raises(ag.RegimeError, match="the scaled energy overflows float64"):
+            _scaled(exps, 2.0, -1e308, "the scaled energy")
+        with pytest.raises(ag.RegimeError, match=r"\|\|u\|\|_1\^a overflows float64"):
+            _scaled(exps, np.array([1.0, 1e300]), np.ones(2), "the product")
 
 
 class TestDissipation:

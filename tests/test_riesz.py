@@ -96,6 +96,11 @@ class TestBuild:
         with pytest.raises(ValueError, match="0 < lam < 1"):
             potential_at(gauss1024, np.array([0.0, 1.0]), lam)
 
+    @pytest.mark.parametrize("r", [-1.0, np.nan, np.inf])
+    def test_pointwise_potential_rejects_bad_radius(self, gauss1024, r):
+        with pytest.raises(ValueError, match="finite, nonnegative target radii"):
+            potential_at(gauss1024, np.array([0.5, r]), 0.8)
+
     def test_rejects_wrong_shape_table(self):
         # a larger pinned pot would be sliced silently into the operator
         # block; tables of the right shape (dataclasses.replace) are kept
